@@ -1,175 +1,192 @@
-"""Distributed HTPGM over time series partitions.
+"""Distributed HTPGM over sequence partitions.
 
 The paper's miner is single-machine; the reproduction's distributed
-variant keeps the Hierarchical Pattern Graph logic on the driver but
-pushes all support counting into Spark, partitioned by sequence:
+variant keeps the Hierarchical Pattern Graph logic on the driver and
+runs all embedding work on the executors, partitioned by sequence:
 
-* **L1** — ``groupBy(event).agg(countDistinct(seq_id))``.
-* **L2** — a sequence-local self-join of ``D_SEQ`` with the relation
-  decision tree rendered as a SQL CASE expression
-  (:func:`repro.core.relations.relation_sql`), aggregated with
-  ``countDistinct(seq_id)`` per (event pair, relation).  Pure Catalyst;
-  oracle-checked against DuckDB running the identical SQL.
-* **Lk (k >= 3)** — level-wise candidate broadcast: the driver derives
-  candidate nodes exactly as E-HTPGM does (green-node extension +
-  transitivity filtering), ships them to the executors, and
-  ``applyInPandas`` over ``groupBy(seq_id)`` enumerates each candidate's
-  relation tuples per sequence with the shared
-  :func:`repro.core.enumerate.enumerate_pattern_tuples`.  Supports come
-  back via ``groupBy(node, rels).agg(countDistinct(seq_id))``.
+* **Partitioning** — ``D_SEQ`` is hash-partitioned by ``seq_id`` once
+  (the only shuffle) and cached.  Every sequence lies whole in exactly
+  one partition.
+* **L1 + L2 pass** — one ``mapInPandas`` over the partitions builds
+  each sequence as ``{event: sorted instances}`` and emits partial
+  counts, pre-aggregated per partition: ``max(seq_id) + 1``, event
+  supports, and ``(event_i, event_j, rel)`` supports from the shared
+  :func:`repro.core.enumerate._pair_tuples`.
+* **Lk pass, one per level** — the driver keeps the green nodes by the
+  σ/δ rules of :func:`repro.core.htpgm.mine`, derives the level's
+  candidates (transitivity admission: every pair with the new event
+  must be a green L2 node) and ships the kept patterns and the
+  allowed-relation map to the executors in the task closure.  A
+  ``mapInPandas`` rebuilds the embeddings of the kept patterns of
+  levels 2..k-1 in every sequence of its partition, extending one event
+  at a time with the same :func:`repro.core.enumerate.extend_embeddings`
+  step as the driver miner, and emits partial ``(node, rels)`` counts
+  of level k.
 
-Support of a pattern is additive over sequences, which makes the
-counting embarrassingly parallel; the level barrier is the Apriori
-dependency.  Results are identical to the driver miner (tested).
+Support counts sequences, and no sequence spans two partitions, so a
+support is the exact sum of the per-partition counts and the driver
+adds them up: no ``countDistinct`` and no further shuffle.  The
+sequence count is the largest ``max(seq_id) + 1``, as in
+:meth:`repro.core.seqdb.SequenceDatabase.from_rows`, so empty sequences
+inside the id range count.  Results are identical to the driver miner
+(tested).
 """
 from __future__ import annotations
 
+from collections import Counter
+
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
-from .enumerate import enumerate_pattern_tuples
+from .enumerate import _pair_tuples, extend_embeddings
 from .htpgm import MiningConfig
-from .model import MiningResult, min_support
-from .relations import relation_sql
+from .model import EventId, Instance, MiningResult, min_support
+from .seqdb import DSEQ_COLUMNS
+
+#: Rows of the L1 + L2 pass.  ``(NULL, NULL, NULL, n)`` carries the
+#: partition's ``max(seq_id) + 1``, ``(event, NULL, NULL, supp)`` an
+#: event support and ``(event_i, event_j, rel, supp)`` a 2-event
+#: pattern support; every count is partial to one partition.
+LEVEL12_SCHEMA = "event_i string, event_j string, rel string, supp long"
+_LEVEL_K_SCHEMA = "node long, rels string, supp long"
 
 
-def event_supports_df(dseq: DataFrame) -> DataFrame:
-    """Support of every event: (event, supp)."""
-    return dseq.groupBy("event").agg(
-        F.countDistinct("seq_id").alias("supp")
-    )
+def partition_sequences(dseq: DataFrame) -> DataFrame:
+    """Hash-partition ``D_SEQ`` by ``seq_id`` into the session's
+    ``spark.sql.shuffle.partitions``: each sequence in one partition."""
+    n_parts = int(dseq.sparkSession.conf.get("spark.sql.shuffle.partitions"))
+    return dseq.select(*DSEQ_COLUMNS).repartition(n_parts, "seq_id")
 
 
-def pair_supports_df(dseq: DataFrame) -> DataFrame:
-    """Support of every ordered event pair: (event_i, event_j, supp)."""
-    pres = dseq.select("seq_id", "event").distinct()
-    a = pres.select("seq_id", F.col("event").alias("event_i"))
-    b = pres.select("seq_id", F.col("event").alias("event_j"))
-    return a.join(b, on="seq_id").groupBy("event_i", "event_j").agg(
-        F.countDistinct("seq_id").alias("supp")
-    )
+def _sequences(batches) -> dict[int, dict[EventId, list[Instance]]]:
+    """One partition's rows as ``{seq_id: {event: sorted instances}}``."""
+    seqs: dict[int, dict[EventId, list[Instance]]] = {}
+    for pdf in batches:
+        for sid, ev, s, e in zip(
+            pdf["seq_id"].tolist(),
+            pdf["event"].tolist(),
+            pdf["start"].tolist(),
+            pdf["end"].tolist(),
+        ):
+            seqs.setdefault(sid, {}).setdefault(ev, []).append((s, e))
+    for seq in seqs.values():
+        for insts in seq.values():
+            insts.sort(key=lambda it: (it[0], -it[1]))
+    return seqs
 
 
-def _ordered_pair_join(dseq: DataFrame) -> DataFrame:
-    """Sequence-local self-join producing chronologically ordered pairs.
-
-    Ordering key is ``(start, -end, event)``; the first instance of a
-    pair must strictly precede the second, mirroring the driver-side
-    embedding order.
-    """
-    a = dseq.select(
-        "seq_id",
-        F.col("event").alias("e1"),
-        F.col("start").alias("s1"),
-        F.col("end").alias("t1"),
-    )
-    b = dseq.select(
-        "seq_id",
-        F.col("event").alias("e2"),
-        F.col("start").alias("s2"),
-        F.col("end").alias("t2"),
-    )
-    order = (
-        (F.col("s1") < F.col("s2"))
-        | ((F.col("s1") == F.col("s2")) & (F.col("t1") > F.col("t2")))
-        | (
-            (F.col("s1") == F.col("s2"))
-            & (F.col("t1") == F.col("t2"))
-            & (F.col("e1") < F.col("e2"))
-        )
-    )
-    return a.join(b, on="seq_id").where(order)
-
-
-def two_event_pattern_supports_df(
-    dseq: DataFrame,
-    *,
-    epsilon: int = 0,
-    d_o: int = 1,
-    t_max: int | None = None,
+def level12_partial_supports(
+    parts: DataFrame, *, epsilon: int = 0, d_o: int = 1, t_max: int | None = None
 ) -> DataFrame:
-    """Support of every 2-event pattern: (event_i, event_j, rel, supp).
+    """The L1 + L2 pass over sequence partitions (see ``LEVEL12_SCHEMA``)."""
 
-    The L2 mining step (paper step 2.1+2.2) as one Catalyst dataflow.
-    """
-    pairs = _ordered_pair_join(dseq)
-    if t_max is not None:
-        pairs = pairs.where(F.col("t2") - F.col("s1") <= F.lit(t_max))
-    rel = F.expr(relation_sql("s1", "t1", "s2", "t2", epsilon, d_o))
-    return (
-        pairs.select(
-            "seq_id",
-            F.col("e1").alias("event_i"),
-            F.col("e2").alias("event_j"),
-            rel.alias("rel"),
-        )
-        .where(F.col("rel").isNotNull())
-        .groupBy("event_i", "event_j", "rel")
-        .agg(F.countDistinct("seq_id").alias("supp"))
-    )
+    def count(batches):
+        seqs = _sequences(batches)
+        if not seqs:
+            return
+        events: Counter = Counter()
+        pairs: Counter = Counter()
+        for seq in seqs.values():
+            events.update(seq.keys())
+            for e1, insts1 in seq.items():
+                for e2, insts2 in seq.items():
+                    for (r,) in _pair_tuples(
+                        insts1, insts2, e1, e2, epsilon, d_o, t_max
+                    ):
+                        pairs[(e1, e2, r)] += 1
+        rows = [(None, None, None, max(seqs) + 1)]
+        rows += [(e, None, None, c) for e, c in events.items()]
+        rows += [(e1, e2, r, c) for (e1, e2, r), c in pairs.items()]
+        yield pd.DataFrame(rows, columns=["event_i", "event_j", "rel", "supp"])
+
+    return parts.mapInPandas(count, LEVEL12_SCHEMA)
 
 
-def _count_candidates(
-    dseq: DataFrame, candidates: list[tuple[str, ...]], cfg: MiningConfig
-) -> pd.DataFrame:
-    """Per-sequence enumeration of candidate nodes via applyInPandas.
+def _level_k_partial_supports(
+    parts: DataFrame,
+    plan: list[dict[tuple[EventId, ...], frozenset[tuple[str, ...]]]],
+    candidates: list[tuple[EventId, ...]],
+    allowed: dict[tuple[EventId, EventId], frozenset[str]],
+    cfg: MiningConfig,
+) -> DataFrame:
+    """Partial ``(candidate index, comma-joined rels)`` supports of one
+    level.  ``plan[j]`` holds the kept relation tuples of the level
+    ``j + 2`` nodes whose embeddings the next level extends."""
+    params = (cfg.epsilon, cfg.d_o, cfg.t_max)
 
-    Returns a pandas frame (node_id, rels, supp) where ``rels`` is the
-    comma-joined relation tuple.
-    """
-    cand = list(candidates)
-    epsilon, d_o, t_max = cfg.epsilon, cfg.d_o, cfg.t_max
-    # Per-candidate event sets for the cheap presence prefilter.
-    cand_events = [set(c) for c in cand]
+    def step(node):
+        prefix, ev = node[:-1], node[-1]
+        return prefix, ev, [allowed[(e, ev)] for e in prefix]
 
-    def per_sequence(pdf: pd.DataFrame) -> pd.DataFrame:
-        seq_id = int(pdf["seq_id"].iloc[0])
-        instances: dict[str, list[tuple[int, int]]] = {}
-        for ev, s, e in zip(pdf["event"], pdf["start"], pdf["end"]):
-            instances.setdefault(ev, []).append((int(s), int(e)))
-        present = set(instances)
-        out_nodes, out_rels = [], []
-        for node_id, node in enumerate(cand):
-            if not cand_events[node_id] <= present:
-                continue
-            for t in enumerate_pattern_tuples(
-                instances, node, epsilon=epsilon, d_o=d_o, t_max=t_max
-            ):
-                out_nodes.append(node_id)
-                out_rels.append(",".join(t))
-        return pd.DataFrame(
-            {
-                "node_id": pd.Series(out_nodes, dtype="int64"),
-                "rels": pd.Series(out_rels, dtype="object"),
-                "seq_id": pd.Series(
-                    [seq_id] * len(out_nodes), dtype="int64"
-                ),
-            }
-        )
+    plan_steps = [
+        [(node, tuples, *step(node)) for node, tuples in kept.items()]
+        for kept in plan
+    ]
+    cand_steps = [step(node) for node in candidates]
+    firsts = {node[0] for node in plan[0]}
 
-    hits = dseq.groupBy("seq_id").applyInPandas(
-        per_sequence, schema="node_id long, rels string, seq_id long"
-    )
-    return (
-        hits.groupBy("node_id", "rels")
-        .agg(F.countDistinct("seq_id").alias("supp"))
-        .toPandas()
-    )
+    def count(batches):
+        seqs = _sequences(batches)
+        embs = {}
+        for e in firsts:
+            one = [
+                (sid, (inst,), (inst[0], -inst[1], e), ())
+                for sid, seq in seqs.items()
+                for inst in seq.get(e, ())
+            ]
+            if one:
+                embs[(e,)] = one
+        for steps in plan_steps:
+            nxt = {}
+            for node, tuples, prefix, ev, allowed_last in steps:
+                if prefix in embs:
+                    _, ext = extend_embeddings(
+                        embs[prefix], ev, seqs, allowed_last, *params
+                    )
+                    kept = [x for x in ext if x[3] in tuples]
+                    if kept:
+                        nxt[node] = kept
+            embs = nxt
+        rows = []
+        for idx, (prefix, ev, allowed_last) in enumerate(cand_steps):
+            if prefix in embs:
+                by_tuple, _ = extend_embeddings(
+                    embs[prefix], ev, seqs, allowed_last, *params
+                )
+                rows += [(idx, ",".join(t), len(s)) for t, s in by_tuple.items()]
+        if rows:
+            yield pd.DataFrame(rows, columns=["node", "rels", "supp"])
+
+    return parts.mapInPandas(count, _LEVEL_K_SCHEMA)
+
+
+def _rows(df: DataFrame):
+    """The rows of a small result as tuples of Python values (Arrow
+    collect: faster than ``collect()`` for thousands of rows)."""
+    pdf = df.toPandas()
+    return zip(*(pdf[c].tolist() for c in pdf.columns))
 
 
 def mine_distributed(
     spark: SparkSession, dseq: DataFrame, cfg: MiningConfig
 ) -> MiningResult:
-    """Level-wise distributed HTPGM; same output as :func:`htpgm.mine`."""
-    dseq = dseq.select("seq_id", "event", "start", "end").cache()
+    """Sequence-partitioned HTPGM; same output as :func:`htpgm.mine`."""
+    parts = partition_sequences(dseq).cache()
     try:
-        n = dseq.select("seq_id").distinct().count()
+        n = 0
+        supports: dict[EventId, int] = Counter()
+        pair_counts: dict[tuple[EventId, EventId], Counter] = {}
+        partials = level12_partial_supports(
+            parts, epsilon=cfg.epsilon, d_o=cfg.d_o, t_max=cfg.t_max
+        )
+        for ei, ej, rel, supp in _rows(partials):
+            if ei is None:
+                n = max(n, supp)
+            elif ej is None:
+                supports[ei] += supp
+            else:
+                pair_counts.setdefault((ei, ej), Counter())[(rel,)] += supp
         ms = min_support(cfg.sigma, n)
-
-        supports = {
-            r["event"]: r["supp"] for r in event_supports_df(dseq).collect()
-        }
         one_freq = {e: s for e, s in supports.items() if s >= ms}
         result = MiningResult(
             n_sequences=n, frequent_events=dict(one_freq), patterns={}
@@ -178,9 +195,8 @@ def mine_distributed(
         result.pattern_counts[1] = len(one_freq)
         if not one_freq or cfg.max_k < 2:
             return result
-        events1 = sorted(one_freq)
 
-        def keep(node: tuple[str, ...], tuples: dict[tuple[str, ...], int]):
+        def keep(node: tuple[EventId, ...], tuples):
             max_ev = max(supports[e] for e in node)
             return {
                 t: s
@@ -188,62 +204,58 @@ def mine_distributed(
                 if s >= ms and s / max_ev >= cfg.delta
             }
 
-        # ---- L2 via the Catalyst self-join ------------------------
-        l2_pdf = two_event_pattern_supports_df(
-            dseq, epsilon=cfg.epsilon, d_o=cfg.d_o, t_max=cfg.t_max
-        ).toPandas()
-        level2: dict[tuple[str, str], dict[tuple[str, ...], int]] = {}
-        grouped: dict[tuple[str, str], dict[tuple[str, ...], int]] = {}
-        for r in l2_pdf.itertuples():
-            if r.event_i in one_freq and r.event_j in one_freq:
-                grouped.setdefault((r.event_i, r.event_j), {})[(r.rel,)] = (
-                    r.supp
-                )
-        for pair, tuples in grouped.items():
-            pats = keep(pair, tuples)
-            if pats:
-                level2[pair] = pats
-        result.node_counts[2] = len(level2)
-        result.pattern_counts[2] = sum(len(p) for p in level2.values())
-        for pair, pats in level2.items():
-            for t, s in pats.items():
-                result.patterns[(pair, t)] = s
-
-        # ---- Lk via candidate broadcast + applyInPandas -----------
-        prev = level2
-        k = 3
-        while prev and k <= cfg.max_k:
-            filtered1 = sorted({e for node in prev for e in node})
-            green2 = set(level2)
-            candidates = []
-            for node_prev in prev:
-                for ek in filtered1:
-                    # transitivity admission: every pair with the new
-                    # event must be a green L2 node
-                    if all((ei, ek) in green2 for ei in node_prev):
-                        candidates.append(node_prev + (ek,))
-            if not candidates:
-                break
-            counts = _count_candidates(dseq, candidates, cfg)
-            level_k: dict[tuple[str, ...], dict[tuple[str, ...], int]] = {}
-            by_node: dict[int, dict[tuple[str, ...], int]] = {}
-            for r in counts.itertuples():
-                rels = tuple(r.rels.split(","))
-                by_node.setdefault(int(r.node_id), {})[rels] = int(r.supp)
-            for node_id, tuples in by_node.items():
-                node = candidates[node_id]
-                pats = keep(node, tuples)
-                if pats:
-                    level_k[node] = pats
-            result.node_counts[k] = len(level_k)
-            result.pattern_counts[k] = sum(
-                len(p) for p in level_k.values()
-            )
-            for node, pats in level_k.items():
+        def record(k: int, level: dict) -> None:
+            result.node_counts[k] = len(level)
+            result.pattern_counts[k] = sum(len(p) for p in level.values())
+            for node, pats in level.items():
                 for t, s in pats.items():
                     result.patterns[(node, t)] = s
-            prev = level_k
+
+        level2 = {}
+        for pair, tuples in pair_counts.items():
+            if pair[0] in one_freq and pair[1] in one_freq:
+                pats = keep(pair, tuples)
+                if pats:
+                    level2[pair] = pats
+        record(2, level2)
+        allowed = {
+            pair: frozenset(t[0] for t in pats) for pair, pats in level2.items()
+        }
+
+        levels = [level2]
+        k = 3
+        while levels[-1] and k <= cfg.max_k:
+            prev = levels[-1]
+            filtered1 = sorted({e for node in prev for e in node})
+            candidates = [
+                node + (ek,)
+                for node in prev
+                for ek in filtered1
+                if all((ei, ek) in allowed for ei in node)
+            ]
+            if not candidates:
+                break
+            # Replay only the nodes some candidate extends, level by level.
+            plan = []
+            needed = {c[:-1] for c in candidates}
+            for level in reversed(levels):
+                plan.append({node: frozenset(level[node]) for node in needed})
+                needed = {node[:-1] for node in needed}
+            plan.reverse()
+            by_node: dict[int, Counter] = {}
+            partials = _level_k_partial_supports(
+                parts, plan, candidates, allowed, cfg
+            )
+            for idx, rels, supp in _rows(partials):
+                by_node.setdefault(idx, Counter())[tuple(rels.split(","))] += supp
+            level_k = {}
+            for idx, tuples in by_node.items():
+                pats = keep(candidates[idx], tuples)
+                if pats:
+                    level_k[candidates[idx]] = pats
+            record(k, level_k)
+            levels.append(level_k)
             k += 1
         return result
     finally:
-        dseq.unpersist()
+        parts.unpersist()

@@ -123,6 +123,61 @@ def enumerate_pattern_tuples(
     return results
 
 
+#: An embedding: (seq_id, instances, order key of the last, relations).
+Embedding = tuple[int, tuple[Instance, ...], OrderKey, tuple[str, ...]]
+
+
+def extend_embeddings(
+    embs: list[Embedding],
+    ev: EventId,
+    sequences,
+    allowed_last: list[frozenset[str]],
+    epsilon: int,
+    d_o: int,
+    t_max: int | None,
+) -> tuple[dict[tuple[str, ...], set[int]], list[Embedding]]:
+    """Extend every embedding of a node by one event (the Lk step).
+
+    ``sequences[seq_id]`` maps event -> instances; ``embs`` should
+    arrive grouped by sequence, as the instance-list lookup is cached
+    across a group.  An instance of ``ev`` extends an
+    embedding when it strictly follows the embedding's last instance,
+    keeps the span within ``t_max`` and relates to position ``i`` by a
+    relation in ``allowed_last[i]``.  Returns the supporting sequence
+    ids per relation tuple and the extended embeddings.  Extending the
+    one-instance embeddings ``(seq_id, (inst,), key, ())`` gives the
+    2-event embeddings, so the same step builds every level.
+    """
+    by_tuple: dict[tuple[str, ...], set[int]] = {}
+    out: list[Embedding] = []
+    cur_sid, ev_insts = None, None
+    for sid, insts, last_key, rels in embs:
+        if sid != cur_sid:
+            cur_sid, ev_insts = sid, sequences[sid].get(ev)
+        if not ev_insts:
+            continue
+        first_start = insts[0][0]
+        for inst in ev_insts:
+            key = (inst[0], -inst[1], ev)
+            if key <= last_key:
+                continue  # enforce strict chronological order
+            if t_max is not None and inst[1] - first_start > t_max:
+                continue
+            ext = []
+            for prev_inst, allow in zip(insts, allowed_last):
+                r = relation(
+                    prev_inst[0], prev_inst[1], inst[0], inst[1], epsilon, d_o
+                )
+                if r is None or r not in allow:
+                    break
+                ext.append(r)
+            else:
+                new_rels = rels + tuple(ext)
+                out.append((sid, insts + (inst,), key, new_rels))
+                by_tuple.setdefault(new_rels, set()).add(sid)
+    return by_tuple, out
+
+
 def _pair_tuples(
     insts1: list[Instance],
     insts2: list[Instance],

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .enumerate import enumerate_pattern_tuples
+from .enumerate import enumerate_pattern_tuples, extend_embeddings
 from .model import EventId, MiningResult, PatternKey, min_support
 from .relations import relation
 from .seqdb import SequenceDatabase
@@ -347,46 +347,9 @@ def _mine_k_iterative(
                     if supp / max(supports[e] for e in node_events) < cfg.delta:
                         continue
                 stats["enumerated_nodes"] += 1
-                by_tuple: dict[tuple[str, ...], set[int]] = {}
-                cand_embs: list = []
-                # embeddings arrive grouped by sequence; cache the
-                # instance-list lookup across the group
-                cur_sid, cur_insts = -1, None
-                for sid, insts, last_key, rels_prev in embs:
-                    if sid != cur_sid:
-                        cur_sid = sid
-                        cur_insts = db.sequences[sid].get(ek)
-                    ek_insts = cur_insts
-                    if not ek_insts:
-                        continue
-                    first_start = insts[0][0]
-                    for inst in ek_insts:
-                        key = (inst[0], -inst[1], ek)
-                        if key <= last_key:
-                            continue
-                        if (
-                            t_max is not None
-                            and inst[1] - first_start > t_max
-                        ):
-                            continue
-                        ext = []
-                        valid = True
-                        for i, prev_inst in enumerate(insts):
-                            r = relation(
-                                prev_inst[0], prev_inst[1],
-                                inst[0], inst[1], epsilon, d_o,
-                            )
-                            if r is None or r not in allowed_last[i]:
-                                valid = False
-                                break
-                            ext.append(r)
-                        if not valid:
-                            continue
-                        new_rels = rels_prev + tuple(ext)
-                        cand_embs.append(
-                            (sid, insts + (inst,), key, new_rels)
-                        )
-                        by_tuple.setdefault(new_rels, set()).add(sid)
+                by_tuple, cand_embs = extend_embeddings(
+                    embs, ek, db.sequences, allowed_last, epsilon, d_o, t_max
+                )
                 # sigma/delta filter on the node's tuples
                 max_ev = max(supports[e] for e in node_events)
                 kept_tuples = {

@@ -54,8 +54,8 @@ def relation_sql(
     """The same decision tree as :func:`relation`, as a SQL CASE expression.
 
     ``s1``/``e1``/``s2``/``e2`` are SQL column expressions.  Usable both in
-    Spark SQL (Catalyst) and in DuckDB, which is exactly how the
-    distributed 2-event support computation is oracle-checked.
+    Spark SQL (Catalyst) and in DuckDB; the DuckDB oracle for the
+    distributed miner's 2-event supports is written with it.
     """
     return (
         f"CASE WHEN {s2} >= {e1} - {epsilon} THEN 'F' "

@@ -1,16 +1,18 @@
-"""Distributed miner == driver miner, and Catalyst support primitives
-== DuckDB oracle."""
+"""Distributed miner == driver miner, and its L1 + L2 partial-support
+pass == DuckDB oracle."""
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
+from repro.core import distributed
 from repro.core.distributed import (
-    event_supports_df,
+    level12_partial_supports,
     mine_distributed,
-    pair_supports_df,
-    two_event_pattern_supports_df,
+    partition_sequences,
 )
 from repro.core.htpgm import MiningConfig, mine
 from repro.core.relations import relation_sql
+from repro.core.seqdb import SequenceDatabase
 from repro.oracle import assert_equivalent
 
 from .util import kitchen_db, random_db
@@ -20,11 +22,42 @@ def _spark_dseq(spark, db):
     return spark.createDataFrame(db.to_pandas())
 
 
+def _level12(dseq, **params):
+    """Partial supports of the L1 + L2 pass, summed over partitions."""
+    return level12_partial_supports(partition_sequences(dseq), **params)
+
+
+def _event_supports(dseq):
+    return (
+        _level12(dseq)
+        .where(F.col("event_i").isNotNull() & F.col("event_j").isNull())
+        .groupBy(F.col("event_i").alias("event"))
+        .agg(F.sum("supp").alias("supp"))
+    )
+
+
+def _two_event_supports(dseq, **params):
+    return (
+        _level12(dseq, **params)
+        .where(F.col("event_j").isNotNull())
+        .groupBy("event_i", "event_j", "rel")
+        .agg(F.sum("supp").alias("supp"))
+    )
+
+
+def _sequence_count(dseq):
+    return (
+        _level12(dseq)
+        .where(F.col("event_i").isNull())
+        .agg(F.max("supp").alias("n"))
+    )
+
+
 def test_event_supports_matches_oracle(spark):
     db = random_db(seed=0)
     dseq = _spark_dseq(spark, db)
     assert_equivalent(
-        event_supports_df(dseq),
+        _event_supports(dseq),
         "SELECT event, count(DISTINCT seq_id) AS supp FROM dseq "
         "GROUP BY event",
         dseq=db.to_pandas(),
@@ -35,33 +68,30 @@ def test_event_supports_match_bitmaps(spark):
     db = random_db(seed=1)
     got = {
         r["event"]: r["supp"]
-        for r in event_supports_df(_spark_dseq(spark, db)).collect()
+        for r in _event_supports(_spark_dseq(spark, db)).collect()
     }
     assert got == db.event_supports()
 
 
-def test_pair_supports_matches_oracle(spark):
+def test_sequence_count_matches_oracle(spark):
     db = random_db(seed=2, n_seq=10)
-    dseq = _spark_dseq(spark, db)
+    pdf = db.to_pandas()
+    pdf = pdf[pdf["seq_id"] != 4]  # an empty sequence inside the range
     assert_equivalent(
-        pair_supports_df(dseq),
-        "WITH pres AS (SELECT DISTINCT seq_id, event FROM dseq) "
-        "SELECT a.event AS event_i, b.event AS event_j, "
-        "count(DISTINCT a.seq_id) AS supp "
-        "FROM pres a JOIN pres b USING (seq_id) "
-        "GROUP BY a.event, b.event",
-        dseq=db.to_pandas(),
+        _sequence_count(spark.createDataFrame(pdf)),
+        "SELECT max(seq_id) + 1 AS n FROM dseq",
+        dseq=pdf,
     )
 
 
-def test_pair_supports_match_bitmap_and(spark):
+def test_pattern_supports_within_bitmap_and(spark):
+    """Lemma 2: a 2-event pattern's support is at most the support of
+    its event pair."""
     db = random_db(seed=3)
-    got = {
-        (r["event_i"], r["event_j"]): r["supp"]
-        for r in pair_supports_df(_spark_dseq(spark, db)).collect()
-    }
-    for (ei, ej), supp in got.items():
-        assert supp == db.group_support((ei, ej))
+    got = _two_event_supports(_spark_dseq(spark, db)).collect()
+    assert got
+    for r in got:
+        assert 0 < r["supp"] <= db.group_support((r["event_i"], r["event_j"]))
 
 
 @pytest.mark.parametrize("eps,d_o,t_max", [(0, 1, None), (1, 3, 20)])
@@ -86,9 +116,7 @@ def test_two_event_supports_match_oracle(spark, eps, d_o, t_max):
         ") WHERE rel IS NOT NULL "
         "GROUP BY event_i, event_j, rel"
     )
-    got = two_event_pattern_supports_df(
-        dseq, epsilon=eps, d_o=d_o, t_max=t_max
-    )
+    got = _two_event_supports(dseq, epsilon=eps, d_o=d_o, t_max=t_max)
     assert_equivalent(got, sql, dseq=db.to_pandas())
 
 
@@ -97,23 +125,78 @@ def test_two_event_supports_match_driver_enumeration(spark):
     r = mine(db, MiningConfig(sigma=0.0, delta=0.0, max_k=2))
     got = {
         (r2["event_i"], r2["event_j"], r2["rel"]): r2["supp"]
-        for r2 in two_event_pattern_supports_df(
-            _spark_dseq(spark, db)
-        ).collect()
+        for r2 in _two_event_supports(_spark_dseq(spark, db)).collect()
     }
     for ((e1, e2), (rel,)), supp in r.patterns.items():
         assert got[(e1, e2, rel)] == supp
 
 
-@pytest.mark.parametrize("seed,sigma,delta", [(0, 0.3, 0.3), (1, 0.2, 0.5)])
-def test_mine_distributed_equals_driver(spark, seed, sigma, delta):
-    db = random_db(seed=seed, n_seq=14, n_vars=4)
-    cfg = MiningConfig(sigma=sigma, delta=delta, max_k=3)
+def _assert_same_result(spark, db, cfg):
     expected = mine(db, cfg)
     got = mine_distributed(spark, _spark_dseq(spark, db), cfg)
     assert got.patterns == expected.patterns
     assert got.frequent_events == expected.frequent_events
     assert got.n_sequences == expected.n_sequences
+    return got
+
+
+@pytest.mark.parametrize("seed,sigma,delta", [(0, 0.3, 0.3), (1, 0.2, 0.5)])
+def test_mine_distributed_equals_driver(spark, seed, sigma, delta):
+    db = random_db(seed=seed, n_seq=14, n_vars=4)
+    _assert_same_result(spark, db, MiningConfig(sigma=sigma, delta=delta, max_k=3))
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_mine_distributed_equals_driver_at_k4(spark, seed):
+    """Level 4 replays the kept level-3 embeddings per sequence."""
+    db = random_db(seed=seed, n_seq=14, n_vars=4)
+    got = _assert_same_result(
+        spark, db, MiningConfig(sigma=0.2, delta=0.2, max_k=4)
+    )
+    assert got.node_counts.get(4, 0) > 0
+
+
+def test_mine_distributed_more_partitions_than_sequences(spark):
+    db = random_db(seed=6, n_seq=5, n_vars=4)
+    old = spark.conf.get("spark.sql.shuffle.partitions")
+    spark.conf.set("spark.sql.shuffle.partitions", "16")
+    try:
+        _assert_same_result(
+            spark, db, MiningConfig(sigma=0.2, delta=0.2, max_k=4)
+        )
+    finally:
+        spark.conf.set("spark.sql.shuffle.partitions", old)
+
+
+def test_mine_distributed_counts_empty_sequences(spark):
+    """n is max(seq_id) + 1, as in the driver, not the distinct count."""
+    rows = [(0, "A", 0, 1), (0, "B", 2, 3), (2, "A", 0, 1), (2, "B", 2, 3)]
+    db = SequenceDatabase.from_rows(rows)
+    got = _assert_same_result(spark, db, MiningConfig(sigma=0.7, delta=0.5))
+    assert got.n_sequences == 3
+    assert got.patterns == {}
+
+
+def _persisted(spark):
+    return spark.sparkContext._jsc.getPersistentRDDs().size()
+
+
+def test_mine_distributed_unpersists(spark, monkeypatch):
+    db = random_db(seed=0, n_seq=6)
+    cfg = MiningConfig(sigma=0.3, delta=0.3)
+    dseq = _spark_dseq(spark, db)
+    before = _persisted(spark)
+    mine_distributed(spark, dseq, cfg)
+    assert _persisted(spark) == before
+
+    def fail(*args):
+        raise RuntimeError("boom")
+
+    # fails on the driver after the first pass has filled the cache
+    monkeypatch.setattr(distributed, "min_support", fail)
+    with pytest.raises(RuntimeError, match="boom"):
+        mine_distributed(spark, dseq, cfg)
+    assert _persisted(spark) == before
 
 
 def test_mine_distributed_kitchen(spark):
