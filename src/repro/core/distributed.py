@@ -1,35 +1,37 @@
 """Distributed HTPGM over sequence partitions.
 
 The paper's miner is single-machine; the reproduction's distributed
-variant keeps the Hierarchical Pattern Graph logic on the driver and
-runs all embedding work on the executors, partitioned by sequence:
+variant runs the level loop of the driver miner,
+:func:`repro.core.htpgm.mine_levels`, on the driver and all embedding
+work on the executors, partitioned by sequence:
 
 * **Partitioning** — ``D_SEQ`` is hash-partitioned by ``seq_id`` once
   (the only shuffle) and cached.  Every sequence lies whole in exactly
   one partition.
-* **L1 + L2 pass** — one ``mapInPandas`` over the partitions builds
-  each sequence as ``{event: sorted instances}`` and emits partial
-  counts, pre-aggregated per partition: ``max(seq_id) + 1``, event
-  supports, and ``(event_i, event_j, rel)`` supports from the shared
-  :func:`repro.core.enumerate._pair_tuples`.
-* **Lk pass, one per level** — the driver keeps the green nodes by the
-  σ/δ rules of :func:`repro.core.htpgm.mine`, derives the level's
-  candidates (transitivity admission: every pair with the new event
-  must be a green L2 node) and ships the kept patterns and the
-  allowed-relation map to the executors in the task closure.  A
-  ``mapInPandas`` rebuilds the embeddings of the kept patterns of
-  levels 2..k-1 in every sequence of its partition, extending one event
-  at a time with the same :func:`repro.core.enumerate.extend_embeddings`
-  step as the driver miner, and emits partial ``(node, rels)`` counts
-  of level k.
+* **L1 + L2 pass** — one ``mapInPandas`` over the partitions checks
+  every row with :func:`repro.core.seqdb.check_dseq_row`, builds each
+  sequence as ``{event: sorted instances}`` and emits partial counts,
+  pre-aggregated per partition: ``max(seq_id) + 1``, event supports,
+  and ``(event_i, event_j, rel)`` supports from extending one-instance
+  embeddings with :func:`repro.core.enumerate.extend_embeddings`.  The
+  level loop takes its L1 and L2 counts from their sums.
+* **Lk pass, one per level** — the level loop derives the level's
+  candidates and the relations each may use; the kept patterns of
+  levels 2..k-1 and the candidates travel to the executors in the task
+  closure.  A ``mapInPandas`` rebuilds the embeddings of those kept
+  patterns in every sequence of its partition, extending one event at
+  a time with the same ``extend_embeddings`` step as the driver miner,
+  and emits partial ``(candidate, rels)`` counts of level k.  A level
+  with no candidate runs no pass.
 
 Support counts sequences, and no sequence spans two partitions, so a
 support is the exact sum of the per-partition counts and the driver
 adds them up: no ``countDistinct`` and no further shuffle.  The
 sequence count is the largest ``max(seq_id) + 1``, as in
 :meth:`repro.core.seqdb.SequenceDatabase.from_rows`, so empty sequences
-inside the id range count.  Results are identical to the driver miner
-(tested).
+inside the id range count.  There are no bitmaps here, so
+``prune_apriori`` (Lemmas 2/3) gates nothing.  Results are identical to
+the driver miner (tested).
 """
 from __future__ import annotations
 
@@ -38,10 +40,11 @@ from collections import Counter
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from .enumerate import _pair_tuples, extend_embeddings
-from .htpgm import MiningConfig
-from .model import EventId, Instance, MiningResult, min_support
-from .seqdb import DSEQ_COLUMNS
+from .enumerate import extend_embeddings, seed_embeddings
+from .htpgm import Candidate, Count, MiningConfig, Node, mine_levels
+from .model import EventId, Instance, MiningResult
+from .relations import RELATIONS
+from .seqdb import DSEQ_COLUMNS, check_dseq_row
 
 #: Rows of the L1 + L2 pass.  ``(NULL, NULL, NULL, n)`` carries the
 #: partition's ``max(seq_id) + 1``, ``(event, NULL, NULL, supp)`` an
@@ -59,7 +62,8 @@ def partition_sequences(dseq: DataFrame) -> DataFrame:
 
 
 def _sequences(batches) -> dict[int, dict[EventId, list[Instance]]]:
-    """One partition's rows as ``{seq_id: {event: sorted instances}}``."""
+    """One partition's rows as ``{seq_id: {event: sorted instances}}``;
+    a row that fails :func:`check_dseq_row` raises ``ValueError``."""
     seqs: dict[int, dict[EventId, list[Instance]]] = {}
     for pdf in batches:
         for sid, ev, s, e in zip(
@@ -68,6 +72,7 @@ def _sequences(batches) -> dict[int, dict[EventId, list[Instance]]]:
             pdf["start"].tolist(),
             pdf["end"].tolist(),
         ):
+            check_dseq_row(sid, ev, s, e)
             seqs.setdefault(sid, {}).setdefault(ev, []).append((s, e))
     for seq in seqs.values():
         for insts in seq.values():
@@ -84,16 +89,16 @@ def level12_partial_supports(
         seqs = _sequences(batches)
         if not seqs:
             return
-        events: Counter = Counter()
+        events = Counter(ev for seq in seqs.values() for ev in seq)
         pairs: Counter = Counter()
-        for seq in seqs.values():
-            events.update(seq.keys())
-            for e1, insts1 in seq.items():
-                for e2, insts2 in seq.items():
-                    for (r,) in _pair_tuples(
-                        insts1, insts2, e1, e2, epsilon, d_o, t_max
-                    ):
-                        pairs[(e1, e2, r)] += 1
+        for e1 in events:
+            seeds = seed_embeddings(seqs.items(), e1)
+            for e2 in events:
+                by_tuple, _ = extend_embeddings(
+                    seeds, e2, seqs, [RELATIONS], epsilon, d_o, t_max
+                )
+                for (r,), sids in by_tuple.items():
+                    pairs[(e1, e2, r)] += len(sids)
         rows = [(None, None, None, max(seqs) + 1)]
         rows += [(e, None, None, c) for e, c in events.items()]
         rows += [(e1, e2, r, c) for (e1, e2, r), c in pairs.items()]
@@ -104,60 +109,77 @@ def level12_partial_supports(
 
 def _level_k_partial_supports(
     parts: DataFrame,
-    plan: list[dict[tuple[EventId, ...], frozenset[tuple[str, ...]]]],
-    candidates: list[tuple[EventId, ...]],
-    allowed: dict[tuple[EventId, EventId], frozenset[str]],
+    plan: list[dict[Node, tuple[frozenset[tuple[str, ...]], list]]],
+    candidates: list[Candidate],
     cfg: MiningConfig,
 ) -> DataFrame:
     """Partial ``(candidate index, comma-joined rels)`` supports of one
-    level.  ``plan[j]`` holds the kept relation tuples of the level
-    ``j + 2`` nodes whose embeddings the next level extends."""
+    level.  ``plan[j]`` maps the level ``j + 2`` nodes whose embeddings
+    the next level extends to their kept relation tuples and, as in a
+    candidate, the relations allowed to their last event."""
     params = (cfg.epsilon, cfg.d_o, cfg.t_max)
-
-    def step(node):
-        prefix, ev = node[:-1], node[-1]
-        return prefix, ev, [allowed[(e, ev)] for e in prefix]
-
-    plan_steps = [
-        [(node, tuples, *step(node)) for node, tuples in kept.items()]
-        for kept in plan
-    ]
-    cand_steps = [step(node) for node in candidates]
     firsts = {node[0] for node in plan[0]}
 
     def count(batches):
         seqs = _sequences(batches)
-        embs = {}
-        for e in firsts:
-            one = [
-                (sid, (inst,), (inst[0], -inst[1], e), ())
-                for sid, seq in seqs.items()
-                for inst in seq.get(e, ())
-            ]
-            if one:
-                embs[(e,)] = one
-        for steps in plan_steps:
+        embs = {(e,): seed_embeddings(seqs.items(), e) for e in firsts}
+        for kept in plan:
             nxt = {}
-            for node, tuples, prefix, ev, allowed_last in steps:
-                if prefix in embs:
-                    _, ext = extend_embeddings(
-                        embs[prefix], ev, seqs, allowed_last, *params
-                    )
-                    kept = [x for x in ext if x[3] in tuples]
-                    if kept:
-                        nxt[node] = kept
+            for node, (tuples, allowed_last) in kept.items():
+                _, ext = extend_embeddings(
+                    embs.get(node[:-1], []), node[-1], seqs, allowed_last, *params
+                )
+                nxt[node] = [x for x in ext if x[3] in tuples]
             embs = nxt
         rows = []
-        for idx, (prefix, ev, allowed_last) in enumerate(cand_steps):
-            if prefix in embs:
-                by_tuple, _ = extend_embeddings(
-                    embs[prefix], ev, seqs, allowed_last, *params
-                )
-                rows += [(idx, ",".join(t), len(s)) for t, s in by_tuple.items()]
+        for idx, (node, allowed_last) in enumerate(candidates):
+            by_tuple, _ = extend_embeddings(
+                embs.get(node[:-1], []), node[-1], seqs, allowed_last, *params
+            )
+            rows += [(idx, ",".join(t), len(s)) for t, s in by_tuple.items()]
         if rows:
             yield pd.DataFrame(rows, columns=["node", "rels", "supp"])
 
     return parts.mapInPandas(count, _LEVEL_K_SCHEMA)
+
+
+def _partitioned_count(
+    parts: DataFrame,
+    pair_counts: dict[Node, Counter],
+    cfg: MiningConfig,
+) -> Count:
+    """The distributed miner's counting for :func:`mine_levels`: L2
+    from the sums of the L1 + L2 pass, Lk from one pass per level."""
+    levels: list[dict[Node, tuple[frozenset[tuple[str, ...]], list]]] = []
+
+    def count(candidates, keep, stats):
+        if not candidates:
+            return {}
+        if len(candidates[0][0]) == 2:
+            counts = pair_counts
+        else:
+            # Replay only the nodes some candidate extends, level by level.
+            plan = []
+            needed = {node[:-1] for node, _ in candidates}
+            for green in reversed(levels):
+                plan.append({node: green[node] for node in needed})
+                needed = {node[:-1] for node in needed}
+            plan.reverse()
+            counts = {}
+            partials = _level_k_partial_supports(parts, plan, candidates, cfg)
+            for idx, rels, supp in _rows(partials):
+                node = candidates[idx][0]
+                counts.setdefault(node, Counter())[tuple(rels.split(","))] += supp
+        level, green = {}, {}
+        for node, allowed_last in candidates:
+            pats = keep(node, counts.get(node, {}))
+            if pats:
+                level[node] = pats
+                green[node] = (frozenset(pats), allowed_last)
+        levels.append(green)
+        return level
+
+    return count
 
 
 def _rows(df: DataFrame):
@@ -175,7 +197,7 @@ def mine_distributed(
     try:
         n = 0
         supports: dict[EventId, int] = Counter()
-        pair_counts: dict[tuple[EventId, EventId], Counter] = {}
+        pair_counts: dict[Node, Counter] = {}
         partials = level12_partial_supports(
             parts, epsilon=cfg.epsilon, d_o=cfg.d_o, t_max=cfg.t_max
         )
@@ -186,76 +208,8 @@ def mine_distributed(
                 supports[ei] += supp
             else:
                 pair_counts.setdefault((ei, ej), Counter())[(rel,)] += supp
-        ms = min_support(cfg.sigma, n)
-        one_freq = {e: s for e, s in supports.items() if s >= ms}
-        result = MiningResult(
-            n_sequences=n, frequent_events=dict(one_freq), patterns={}
+        return mine_levels(
+            n, supports, cfg, _partitioned_count(parts, pair_counts, cfg)
         )
-        result.node_counts[1] = len(one_freq)
-        result.pattern_counts[1] = len(one_freq)
-        if not one_freq or cfg.max_k < 2:
-            return result
-
-        def keep(node: tuple[EventId, ...], tuples):
-            max_ev = max(supports[e] for e in node)
-            return {
-                t: s
-                for t, s in tuples.items()
-                if s >= ms and s / max_ev >= cfg.delta
-            }
-
-        def record(k: int, level: dict) -> None:
-            result.node_counts[k] = len(level)
-            result.pattern_counts[k] = sum(len(p) for p in level.values())
-            for node, pats in level.items():
-                for t, s in pats.items():
-                    result.patterns[(node, t)] = s
-
-        level2 = {}
-        for pair, tuples in pair_counts.items():
-            if pair[0] in one_freq and pair[1] in one_freq:
-                pats = keep(pair, tuples)
-                if pats:
-                    level2[pair] = pats
-        record(2, level2)
-        allowed = {
-            pair: frozenset(t[0] for t in pats) for pair, pats in level2.items()
-        }
-
-        levels = [level2]
-        k = 3
-        while levels[-1] and k <= cfg.max_k:
-            prev = levels[-1]
-            filtered1 = sorted({e for node in prev for e in node})
-            candidates = [
-                node + (ek,)
-                for node in prev
-                for ek in filtered1
-                if all((ei, ek) in allowed for ei in node)
-            ]
-            if not candidates:
-                break
-            # Replay only the nodes some candidate extends, level by level.
-            plan = []
-            needed = {c[:-1] for c in candidates}
-            for level in reversed(levels):
-                plan.append({node: frozenset(level[node]) for node in needed})
-                needed = {node[:-1] for node in needed}
-            plan.reverse()
-            by_node: dict[int, Counter] = {}
-            partials = _level_k_partial_supports(
-                parts, plan, candidates, allowed, cfg
-            )
-            for idx, rels, supp in _rows(partials):
-                by_node.setdefault(idx, Counter())[tuple(rels.split(","))] += supp
-            level_k = {}
-            for idx, tuples in by_node.items():
-                pats = keep(candidates[idx], tuples)
-                if pats:
-                    level_k[candidates[idx]] = pats
-            record(k, level_k)
-            levels.append(level_k)
-            k += 1
-        return result
     finally:
         parts.unpersist()

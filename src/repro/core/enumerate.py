@@ -1,13 +1,17 @@
 """Embedding enumeration shared by every miner in this repo.
 
 Given one temporal sequence (its instances grouped per event) and an
-ordered event tuple ``node = (E_1, …, E_k)``, enumerate every
-*embedding* — a choice of one instance per event, strictly increasing
-in chronological order — and report the set of relation tuples those
-embeddings realize.  All miners (E-HTPGM, A-HTPGM, the distributed
-miner, and the three baselines) call into this module, which guarantees
-they share identical pattern semantics; the miners differ only in how
-they prune the node/candidate space and count supports.
+ordered event tuple ``node = (E_1, …, E_k)``, an *embedding* is a
+choice of one instance per event, strictly increasing in chronological
+order; the relation tuples those embeddings realize are the node's
+patterns in that sequence.  Two steps enumerate them, both with the
+relations of :func:`repro.core.relations.relation`:
+
+* :func:`extend_embeddings` extends a node's embeddings by one event —
+  the level step of E-HTPGM and of the distributed miner;
+* :func:`enumerate_pattern_tuples` enumerates a whole node in one
+  sequence from scratch — the NoPrune/Apriori ablation and the IEMiner
+  and TPMiner baselines.
 
 Chronological order (paper Def. 3.9 orders instances by start time) is
 made total and deterministic with the key ``(start, -end, event_id)``:
@@ -37,18 +41,13 @@ def enumerate_pattern_tuples(
     epsilon: int = 0,
     d_o: int = 1,
     t_max: int | None = None,
-    allowed: dict[tuple[int, int], frozenset[str]] | None = None,
 ) -> set[tuple[str, ...]]:
     """Distinct relation tuples realized by ``node`` in one sequence.
 
     ``instances`` maps event id -> list of ``(start, end)`` instances of
     that event within the sequence (any order).  ``t_max`` bounds the
     span from the first instance's start to the last instance's end
-    (paper's maximal-duration constraint).  ``allowed``, when given,
-    restricts the relation permitted between positions ``(i, j)`` — the
-    transitivity/confidence pruning of E-HTPGM (sound because every
-    pairwise relation of a frequent pattern is itself a frequent,
-    confident 2-event pattern; see DESIGN.md §3).
+    (paper's maximal-duration constraint).
 
     Embeddings in which some pair of instances has no relation (e.g.
     equal starts with the earlier-ordered instance strictly shorter)
@@ -67,7 +66,7 @@ def enumerate_pattern_tuples(
         # Single events carry no relations; presence is the pattern.
         results.add(())
         return results
-    if k == 2 and allowed is None:
+    if k == 2:
         return _pair_tuples(
             per_pos[0], per_pos[1], node[0], node[1], epsilon, d_o, t_max
         )
@@ -103,11 +102,6 @@ def enumerate_pattern_tuples(
                 if r is None:
                     ok = False
                     break
-                if allowed is not None:
-                    allow = allowed.get((i, pos))
-                    if allow is not None and r not in allow:
-                        ok = False
-                        break
                 new_rels.append(r)
             if not ok:
                 continue
@@ -127,6 +121,17 @@ def enumerate_pattern_tuples(
 Embedding = tuple[int, tuple[Instance, ...], OrderKey, tuple[str, ...]]
 
 
+def seed_embeddings(sequences, ev: EventId) -> list[Embedding]:
+    """The one-instance embeddings of ``ev`` in ``(seq_id, sequence)``
+    pairs, grouped by sequence: :func:`extend_embeddings` extends them
+    into the 2-event embeddings."""
+    return [
+        (sid, (inst,), order_key(inst, ev), ())
+        for sid, seq in sequences
+        for inst in seq.get(ev, ())
+    ]
+
+
 def extend_embeddings(
     embs: list[Embedding],
     ev: EventId,
@@ -144,9 +149,9 @@ def extend_embeddings(
     embedding when it strictly follows the embedding's last instance,
     keeps the span within ``t_max`` and relates to position ``i`` by a
     relation in ``allowed_last[i]``.  Returns the supporting sequence
-    ids per relation tuple and the extended embeddings.  Extending the
-    one-instance embeddings ``(seq_id, (inst,), key, ())`` gives the
-    2-event embeddings, so the same step builds every level.
+    ids per relation tuple and the extended embeddings.  Extending
+    :func:`seed_embeddings` gives the 2-event embeddings, so the same
+    step builds every level.
     """
     by_tuple: dict[tuple[str, ...], set[int]] = {}
     out: list[Embedding] = []
@@ -190,43 +195,23 @@ def _pair_tuples(
     """Tight 2-event special case of the DFS (hot path of L2 mining).
 
     Same semantics as the general DFS — strict ``(start, -end, event)``
-    ordering, relation priority Follow > Contain > Overlap — with an
-    early exit once all three relation codes have been seen.
+    ordering — with an early exit once all three relation codes have
+    been seen.
     """
-    same = ev1 == ev2
     ev_lt = ev1 < ev2
     out: set[tuple[str, ...]] = set()
     for s1, e1 in insts1:
-        f_lo = e1 - epsilon  # follow boundary for this first instance
         for s2, e2 in insts2:
             # ordering key comparison (s, -e, ev): first must precede
             if (s1, -e1) > (s2, -e2):
                 continue
-            if (s1, -e1) == (s2, -e2) and not (not same and ev_lt):
+            if (s1, -e1) == (s2, -e2) and not ev_lt:
                 continue
             if t_max is not None and e2 - s1 > t_max:
                 continue
-            if s2 >= f_lo:
-                out.add(("F",))
-            elif s1 <= s2 and e1 + epsilon >= e2:
-                out.add(("C",))
-            elif s1 < s2 and e1 + epsilon < e2 and e1 - s2 >= d_o - epsilon:
-                out.add(("O",))
-            if len(out) == 3:
-                return out
+            r = relation(s1, e1, s2, e2, epsilon, d_o)
+            if r is not None:
+                out.add((r,))
+                if len(out) == 3:
+                    return out
     return out
-
-
-def supports_pattern(
-    instances: dict[EventId, list[Instance]],
-    node: tuple[EventId, ...],
-    rel_tuple: tuple[str, ...],
-    *,
-    epsilon: int = 0,
-    d_o: int = 1,
-    t_max: int | None = None,
-) -> bool:
-    """Whether one sequence supports a specific pattern (node + relations)."""
-    return rel_tuple in enumerate_pattern_tuples(
-        instances, node, epsilon=epsilon, d_o=d_o, t_max=t_max
-    )

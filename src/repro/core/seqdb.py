@@ -20,6 +20,19 @@ from .model import EventId, Instance
 DSEQ_COLUMNS = ("seq_id", "event", "start", "end")
 
 
+def check_dseq_row(seq_id, event, start, end) -> None:
+    """Raise ``ValueError`` unless ``(seq_id, event, start, end)`` is a
+    D_SEQ row: ``seq_id`` a non-negative integer, ``event`` not null and
+    ``start < end``."""
+    row = (seq_id, event, start, end)
+    if not isinstance(seq_id, (int, np.integer)) or seq_id < 0:
+        raise ValueError(f"D_SEQ row {row}: seq_id must be a non-negative integer")
+    if pd.isna(event):
+        raise ValueError(f"D_SEQ row {row}: event is null")
+    if not start < end:
+        raise ValueError(f"D_SEQ row {row}: start must be < end")
+
+
 @dataclass
 class SequenceDatabase:
     """Temporal sequence database D_SEQ (paper Def. 3.10) + bitmaps."""
@@ -58,11 +71,18 @@ class SequenceDatabase:
 
         ``seq_id`` must be a 0-based integer; ``n_seq`` defaults to
         ``max(seq_id) + 1`` so empty trailing sequences need an explicit
-        count.
+        count.  A row that fails :func:`check_dseq_row`, or whose
+        ``seq_id`` is not below an explicit ``n_seq``, raises
+        ``ValueError``.
         """
         rows = list(rows)
+        for row in rows:
+            check_dseq_row(*row)
+        top = max((r[0] for r in rows), default=-1)
         if n_seq is None:
-            n_seq = (max(r[0] for r in rows) + 1) if rows else 0
+            n_seq = top + 1
+        elif top >= n_seq:
+            raise ValueError(f"D_SEQ seq_id {top} is not below n_seq = {n_seq}")
         sequences: list[dict[EventId, list[Instance]]] = [
             {} for _ in range(n_seq)
         ]

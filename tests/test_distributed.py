@@ -2,6 +2,7 @@
 pass == DuckDB oracle."""
 import pandas as pd
 import pytest
+from pyspark.errors import PythonException
 from pyspark.sql import functions as F
 
 from repro.core import distributed
@@ -15,7 +16,7 @@ from repro.core.relations import relation_sql
 from repro.core.seqdb import SequenceDatabase
 from repro.oracle import assert_equivalent
 
-from .util import kitchen_db, random_db
+from .util import BAD_ROWS, kitchen_db, random_db
 
 
 def _spark_dseq(spark, db):
@@ -137,6 +138,8 @@ def _assert_same_result(spark, db, cfg):
     assert got.patterns == expected.patterns
     assert got.frequent_events == expected.frequent_events
     assert got.n_sequences == expected.n_sequences
+    for key in ("candidates_l2", "candidates_k"):
+        assert got.stats[key] == expected.stats[key], key
     return got
 
 
@@ -193,9 +196,23 @@ def test_mine_distributed_unpersists(spark, monkeypatch):
         raise RuntimeError("boom")
 
     # fails on the driver after the first pass has filled the cache
-    monkeypatch.setattr(distributed, "min_support", fail)
+    monkeypatch.setattr(distributed, "mine_levels", fail)
     with pytest.raises(RuntimeError, match="boom"):
         mine_distributed(spark, dseq, cfg)
+    assert _persisted(spark) == before
+
+
+@pytest.mark.parametrize("rows,message", BAD_ROWS)
+def test_mine_distributed_rejects_bad_rows(spark, rows, message):
+    """The executor's ValueError reaches the driver inside Spark's
+    PythonException; the cached partitions are released all the same."""
+    pdf = pd.DataFrame(rows, columns=["seq_id", "event", "start", "end"])
+    dseq = spark.createDataFrame(
+        pdf, "seq_id long, event string, start long, `end` long"
+    )
+    before = _persisted(spark)
+    with pytest.raises(PythonException, match=message):
+        mine_distributed(spark, dseq, MiningConfig(sigma=0.5, delta=0.5))
     assert _persisted(spark) == before
 
 
@@ -211,9 +228,7 @@ def test_mine_distributed_with_relation_params(spark):
     cfg = MiningConfig(
         sigma=0.25, delta=0.25, max_k=3, epsilon=1, d_o=3, t_max=25
     )
-    expected = mine(db, cfg)
-    got = mine_distributed(spark, _spark_dseq(spark, db), cfg)
-    assert got.patterns == expected.patterns
+    _assert_same_result(spark, db, cfg)
 
 
 def test_mine_distributed_empty(spark):

@@ -1,5 +1,10 @@
 """Tests for the shared embedding enumeration."""
-from repro.core.enumerate import enumerate_pattern_tuples, supports_pattern
+from repro.core.enumerate import (
+    enumerate_pattern_tuples,
+    extend_embeddings,
+    seed_embeddings,
+)
+from repro.core.relations import RELATIONS
 
 
 def E(**kw):
@@ -79,17 +84,32 @@ def test_t_max_measured_to_last_end():
     assert enumerate_pattern_tuples(inst, ("A", "B"), t_max=19) == set()
 
 
+def _extend_tuples(inst, node, allowed):
+    """Relation tuples of ``node`` in the one sequence ``inst``, built by
+    extending one event at a time; ``allowed[(i, j)]`` restricts the
+    relation between positions ``i`` and ``j`` (default: any)."""
+    seqs = {0: inst}
+    embs = seed_embeddings(seqs.items(), node[0])
+    by_tuple = {}
+    for j in range(1, len(node)):
+        allowed_last = [allowed.get((i, j), RELATIONS) for i in range(j)]
+        by_tuple, embs = extend_embeddings(
+            embs, node[j], seqs, allowed_last, 0, 1, None
+        )
+    return set(by_tuple)
+
+
 def test_allowed_restricts_relations():
     inst = {"A": [(0, 10)], "B": [(2, 8), (12, 14)]}
     allowed = {(0, 1): frozenset("F")}
-    got = enumerate_pattern_tuples(inst, ("A", "B"), allowed=allowed)
+    got = _extend_tuples(inst, ("A", "B"), allowed)
     assert got == {("F",)}
 
 
 def test_allowed_prunes_branch_but_keeps_others():
     inst = {"A": [(0, 10)], "B": [(2, 8), (12, 14)], "C": [(20, 22)]}
     allowed = {(0, 1): frozenset("C")}
-    got = enumerate_pattern_tuples(inst, ("A", "B", "C"), allowed=allowed)
+    got = _extend_tuples(inst, ("A", "B", "C"), allowed)
     assert got == {("C", "F", "F")}
 
 
@@ -101,12 +121,6 @@ def test_epsilon_and_do_are_forwarded():
     assert enumerate_pattern_tuples(inst, ("A", "B"), epsilon=1, d_o=3) == {
         ("F",)
     }
-
-
-def test_supports_pattern():
-    inst = {"K": [(0, 10)], "T": [(2, 8)], "M": [(12, 15)]}
-    assert supports_pattern(inst, ("K", "T", "M"), ("C", "F", "F"))
-    assert not supports_pattern(inst, ("K", "T", "M"), ("F", "F", "F"))
 
 
 def test_four_event_enumeration():

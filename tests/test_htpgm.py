@@ -169,7 +169,67 @@ def test_level_counts_populated():
     assert r.pattern_counts[2] >= 2
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"sigma": 1.5},
+        {"sigma": -0.1},
+        {"delta": -1},
+        {"delta": 1.01},
+        {"sigma": float("nan")},
+        {"epsilon": -1},
+        {"d_o": -1},
+        {"t_max": -1},
+        {"max_k": 0},
+    ],
+)
+def test_config_rejects_out_of_range(kw):
+    with pytest.raises(ValueError, match=next(iter(kw))):
+        MiningConfig(**{"sigma": 0.5, "delta": 0.5, **kw})
+
+
+def test_config_accepts_bounds():
+    MiningConfig(sigma=0.0, delta=1.0, epsilon=0, d_o=0, t_max=0, max_k=1)
+
+
 def test_math_ceil_min_support_boundary():
     # sigma exactly on a sequence-count boundary
     assert min_support(0.75, 4) == 3
     assert min_support(0.7, 4) == math.ceil(2.8)
+
+
+#: (db, sigma, delta, max_k, variant) -> ((candidates_l2, candidates_k,
+#: enumerated_nodes, sequence_scans), node_counts), as the miner reported
+#: them before its level loop was shared with the distributed miner.
+PINNED_COUNTERS = {
+    ("kitchen", 0.8, 0.8, 3, "noprune"): ((9, 9, 18, 90), {1: 3, 2: 3, 3: 1}),
+    ("kitchen", 0.8, 0.8, 3, "apriori"): ((9, 9, 18, 78), {1: 3, 2: 3, 3: 1}),
+    ("kitchen", 0.8, 0.8, 3, "trans"): ((9, 9, 10, 0), {1: 3, 2: 3, 3: 1}),
+    ("kitchen", 0.8, 0.8, 3, "all"): ((9, 9, 10, 0), {1: 3, 2: 3, 3: 1}),
+    ("random4", 0.4, 0.4, 4, "noprune"): (
+        (25, 110, 135, 2700),
+        {1: 5, 2: 19, 3: 3, 4: 0},
+    ),
+    ("random4", 0.4, 0.4, 4, "apriori"): (
+        (25, 110, 135, 1815),
+        {1: 5, 2: 19, 3: 3, 4: 0},
+    ),
+    ("random4", 0.4, 0.4, 4, "trans"): ((25, 107, 93, 0), {1: 5, 2: 19, 3: 3, 4: 0}),
+    ("random4", 0.4, 0.4, 4, "all"): ((25, 107, 93, 0), {1: 5, 2: 19, 3: 3, 4: 0}),
+    ("random4", 0.6, 0.6, 3, "noprune"): ((25, 40, 65, 1300), {1: 5, 2: 8, 3: 0}),
+    ("random4", 0.6, 0.6, 3, "apriori"): ((25, 40, 58, 854), {1: 5, 2: 8, 3: 0}),
+    ("random4", 0.6, 0.6, 3, "trans"): ((25, 40, 35, 0), {1: 5, 2: 8, 3: 0}),
+    ("random4", 0.6, 0.6, 3, "all"): ((25, 40, 33, 0), {1: 5, 2: 8, 3: 0}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_COUNTERS))
+def test_variant_counters_pinned(case):
+    """The counters tpmbench reports (htpgm.*) repeat exactly."""
+    name, sigma, delta, max_k, variant = case
+    db = kitchen_db() if name == "kitchen" else random_db(seed=4, n_seq=20, n_vars=5)
+    r = mine_variant(db, cfg(sigma=sigma, delta=delta, max_k=max_k), variant)
+    keys = ("candidates_l2", "candidates_k", "enumerated_nodes", "sequence_scans")
+    counters, node_counts = PINNED_COUNTERS[case]
+    assert tuple(r.stats[k] for k in keys) == counters
+    assert r.node_counts == node_counts

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.seqdb import SequenceDatabase
 
-from .util import kitchen_db, random_db
+from .util import BAD_ROWS, kitchen_db, random_db
 
 
 def test_from_rows_basic():
@@ -73,3 +73,19 @@ def test_from_pandas_requires_columns():
     pdf = pd.DataFrame({"seq_id": [0], "event": ["A"], "start": [0], "end": [2]})
     db = SequenceDatabase.from_pandas(pdf)
     assert db.support("A") == 1
+
+
+@pytest.mark.parametrize("rows,message", BAD_ROWS)
+def test_from_rows_rejects_bad_rows(rows, message):
+    """Without the check, seq_id -1 was filed under the last sequence and
+    the reversed interval was mined as (A, B) Follow."""
+    with pytest.raises(ValueError, match=message):
+        SequenceDatabase.from_rows(rows)
+    pdf = pd.DataFrame(rows, columns=["seq_id", "event", "start", "end"])
+    with pytest.raises(ValueError, match=message):
+        SequenceDatabase.from_pandas(pdf)
+
+
+def test_from_rows_rejects_seq_id_beyond_n_seq():
+    with pytest.raises(ValueError, match="not below n_seq"):
+        SequenceDatabase.from_rows([(0, "A", 0, 1), (3, "B", 1, 2)], n_seq=2)

@@ -51,3 +51,12 @@ def kitchen_db() -> SequenceDatabase:
         ]
     rows += [(4, "K", 0, 5), (4, "T", 6, 9)]  # K follows T, no M
     return SequenceDatabase.from_rows(rows, n_seq=5)
+
+
+#: Rows that are no D_SEQ rows, each with the error it raises where it
+#: enters a miner.
+BAD_ROWS = [
+    ([(0, "A", 0, 1), (-1, "B", 2, 3)], "seq_id must be a non-negative integer"),
+    ([(0, "A", 5, 1), (0, "B", 6, 7)], "start must be < end"),
+    ([(0, "A", 0, 1), (0, None, 2, 3)], "event is null"),
+]
