@@ -40,6 +40,7 @@ from collections import Counter
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
+from .collect import arrow_collect
 from .enumerate import extend_embeddings, seed_embeddings
 from .htpgm import Candidate, Count, MiningConfig, Node, mine_levels
 from .model import EventId, Instance, MiningResult
@@ -183,9 +184,8 @@ def _partitioned_count(
 
 
 def _rows(df: DataFrame):
-    """The rows of a small result as tuples of Python values (Arrow
-    collect: faster than ``collect()`` for thousands of rows)."""
-    pdf = df.toPandas()
+    """The rows of a small result as tuples of Python values."""
+    pdf = arrow_collect(df)
     return zip(*(pdf[c].tolist() for c in pdf.columns))
 
 

@@ -3,9 +3,11 @@
 Entropy, conditional entropy, MI and *normalized* MI (NMI, Eq. 10 —
 asymmetric: ``NMI(X;Y) = I(X;Y) / H(X)``) between symbolic time
 series, computed from slot-aligned joint symbol counts.  The joint
-counts are produced with a Spark self-join on the slot index — one
-shuffle, all pairs at once — and the small per-pair contingency tables
-are reduced in pandas.
+counts come from one scan of D_SYB, as in the paper's complexity
+analysis: the symbols are collected to the driver once through Arrow,
+coded as small integers per variable in a slot × variable matrix, and
+counted with one ``np.bincount`` per variable pair.  Each pair's dense
+contingency table is then reduced to NMI in numpy.
 
 Also here: the correlation graph (Def. 5.5), the density-driven choice
 of the μ threshold (Def. 5.6), and the Theorem 1 confidence lower
@@ -22,7 +24,12 @@ import math
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
+
+from .collect import arrow_collect
+from .symbolize import SYMBOLS_COLUMNS
+
+#: Columns of :func:`joint_symbol_counts`.
+JOINT_COLUMNS = ["var_x", "var_y", "sym_x", "sym_y", "cnt"]
 
 
 def entropy(p: np.ndarray) -> float:
@@ -32,9 +39,9 @@ def entropy(p: np.ndarray) -> float:
     return float(-(p * np.log(p)).sum())
 
 
-def mutual_information(joint: pd.DataFrame) -> float:
+def mutual_information(joint: pd.DataFrame | np.ndarray) -> float:
     """MI (nats) from a contingency table of counts (rows: X, cols: Y)."""
-    c = joint.to_numpy(dtype=float)
+    c = np.asarray(joint, dtype=float)
     total = c.sum()
     if total == 0:
         return 0.0
@@ -46,38 +53,93 @@ def mutual_information(joint: pd.DataFrame) -> float:
     return float((pxy[mask] * np.log(ratio[mask])).sum())
 
 
-def nmi_from_joint(joint: pd.DataFrame) -> tuple[float, float]:
+def nmi_from_joint(joint: pd.DataFrame | np.ndarray) -> tuple[float, float]:
     """(NMI(X;Y), NMI(Y;X)) from a contingency table (rows X, cols Y).
 
     NMI(X;Y) = I(X;Y) / H(X); degenerate zero-entropy series get NMI 0.
     """
     mi = mutual_information(joint)
-    c = joint.to_numpy(dtype=float)
+    c = np.asarray(joint, dtype=float)
     total = c.sum()
     hx = entropy(c.sum(axis=1) / total)
     hy = entropy(c.sum(axis=0) / total)
     return (mi / hx if hx > 0 else 0.0, mi / hy if hy > 0 else 0.0)
 
 
+def _check_dsyb(pdf: pd.DataFrame) -> None:
+    """Raise ``ValueError`` unless every row has a ``var``, ``t`` and
+    ``symbol`` and no ``(var, t)`` occurs twice."""
+    for col in SYMBOLS_COLUMNS:
+        if pdf[col].isna().any():
+            row = tuple(pdf[pdf[col].isna()].iloc[0])
+            raise ValueError(f"D_SYB row {row}: null {col}")
+    dup = pdf.duplicated(["var", "t"], keep=False)
+    if dup.any():
+        row = tuple(pdf[dup].iloc[0])
+        raise ValueError(f"D_SYB row {row}: duplicate (var, t)")
+
+
 def joint_symbol_counts(symbols: DataFrame) -> pd.DataFrame:
     """Slot-aligned joint symbol counts for every ordered variable pair.
 
     Input ``(var, t, symbol)``; output pandas frame
-    ``(var_x, var_y, sym_x, sym_y, cnt)`` for ``var_x < var_y`` — one
-    Spark self-join on ``t`` plus a groupBy, the D_SYB single scan of
-    the paper's complexity analysis.
+    ``(var_x, var_y, sym_x, sym_y, cnt)`` for ``var_x < var_y``, one row
+    per symbol pair that co-occurs in at least one slot.  D_SYB is
+    collected once through Arrow and checked: a null ``var``, ``t`` or
+    ``symbol``, or a ``(var, t)`` that occurs twice, raises
+    ``ValueError``.  Each variable's symbols are coded ``0..n_v - 1``
+    (sorted) in a slot × variable matrix, −1 where the variable has no
+    reading; a pair's counts are one ``np.bincount`` of
+    ``code_x * n_y + code_y`` over the slots where both are present.
+
+    The driver holds D_SYB once (the collected frame plus the code
+    matrix), the same bound the driver miner accepts for D_SEQ.
     """
-    a = symbols.select(
-        F.col("var").alias("var_x"), "t", F.col("symbol").alias("sym_x")
-    )
-    b = symbols.select(
-        F.col("var").alias("var_y"), "t", F.col("symbol").alias("sym_y")
-    )
-    joined = a.join(b, on="t").where(F.col("var_x") < F.col("var_y"))
-    return (
-        joined.groupBy("var_x", "var_y", "sym_x", "sym_y")
-        .agg(F.count(F.lit(1)).alias("cnt"))
-        .toPandas()
+    pdf = arrow_collect(symbols.select(*SYMBOLS_COLUMNS))
+    _check_dsyb(pdf)
+    var, names = pd.factorize(pdf["var"], sort=True)
+    slot, slots = pd.factorize(pdf["t"])
+    sym, alphabet = pd.factorize(pdf["symbol"], sort=True)
+    # seen[v, s]: variable v takes symbol s; its local code is the rank
+    # of s among the symbols v takes.
+    seen = np.zeros((len(names), len(alphabet)), dtype=bool)
+    seen[var, sym] = True
+    local = np.cumsum(seen, axis=1) - 1
+    codes = np.full((len(slots), len(names)), -1, dtype=np.int64)
+    codes[slot, var] = local[var, sym]
+    n_sym = seen.sum(axis=1)
+    parts = []
+    for x, y in itertools.combinations(range(len(names)), 2):
+        cx, cy = codes[:, x], codes[:, y]
+        both = (cx >= 0) & (cy >= 0)
+        cnt = np.bincount(
+            cx[both] * n_sym[y] + cy[both], minlength=n_sym[x] * n_sym[y]
+        )
+        cells = np.flatnonzero(cnt)
+        ix, iy = np.divmod(cells, n_sym[y])
+        parts.append(
+            np.stack(
+                [
+                    np.full(len(cells), x),
+                    np.full(len(cells), y),
+                    np.flatnonzero(seen[x])[ix],
+                    np.flatnonzero(seen[y])[iy],
+                    cnt[cells],
+                ]
+            )
+        )
+    if not parts:
+        return pd.DataFrame(columns=JOINT_COLUMNS)
+    vx, vy, sx, sy, cnt = np.concatenate(parts, axis=1)
+    names, alphabet = np.asarray(names), np.asarray(alphabet)
+    return pd.DataFrame(
+        {
+            "var_x": names[vx],
+            "var_y": names[vy],
+            "sym_x": alphabet[sx],
+            "sym_y": alphabet[sy],
+            "cnt": cnt,
+        }
     )
 
 
@@ -85,14 +147,16 @@ def nmi_matrix(symbols: DataFrame) -> pd.DataFrame:
     """Directed NMI for every variable pair.
 
     Returns a pandas frame indexed by ``(var_x, var_y)`` for
-    ``var_x != var_y`` with column ``nmi`` = NMI(X;Y) = I/H(X).
+    ``var_x != var_y`` with column ``nmi`` = NMI(X;Y) = I/H(X).  Pairs
+    that share no slot have no row.
     """
     counts = joint_symbol_counts(symbols)
     rows = []
     for (vx, vy), grp in counts.groupby(["var_x", "var_y"]):
-        table = grp.pivot_table(
-            index="sym_x", columns="sym_y", values="cnt", fill_value=0
-        )
+        ix, sx = pd.factorize(grp["sym_x"], sort=True)
+        iy, sy = pd.factorize(grp["sym_y"], sort=True)
+        table = np.zeros((len(sx), len(sy)))
+        table[ix, iy] = grp["cnt"].to_numpy()
         n_xy, n_yx = nmi_from_joint(table)
         rows.append((vx, vy, n_xy))
         rows.append((vy, vx, n_yx))

@@ -1,5 +1,7 @@
 """Distributed miner == driver miner, and its L1 + L2 partial-support
 pass == DuckDB oracle."""
+import warnings
+
 import pandas as pd
 import pytest
 from pyspark.errors import PythonException
@@ -17,6 +19,16 @@ from repro.core.seqdb import SequenceDatabase
 from repro.oracle import assert_equivalent
 
 from .util import BAD_ROWS, kitchen_db, random_db
+
+
+@pytest.fixture(scope="module", autouse=True)
+def two_shuffle_partitions(spark):
+    """Every pass runs one task per shuffle partition; 2 are plenty for
+    DBs of at most 20 sequences (the session default is 64)."""
+    old = spark.conf.get("spark.sql.shuffle.partitions")
+    spark.conf.set("spark.sql.shuffle.partitions", "2")
+    yield
+    spark.conf.set("spark.sql.shuffle.partitions", old)
 
 
 def _spark_dseq(spark, db):
@@ -204,15 +216,19 @@ def test_mine_distributed_unpersists(spark, monkeypatch):
 
 @pytest.mark.parametrize("rows,message", BAD_ROWS)
 def test_mine_distributed_rejects_bad_rows(spark, rows, message):
-    """The executor's ValueError reaches the driver inside Spark's
-    PythonException; the cached partitions are released all the same."""
+    """The executor's ValueError reaches the driver once, inside Spark's
+    PythonException, with no warning that repeats its traceback; the
+    cached partitions are released all the same."""
     pdf = pd.DataFrame(rows, columns=["seq_id", "event", "start", "end"])
     dseq = spark.createDataFrame(
         pdf, "seq_id long, event string, start long, `end` long"
     )
     before = _persisted(spark)
-    with pytest.raises(PythonException, match=message):
-        mine_distributed(spark, dseq, MiningConfig(sigma=0.5, delta=0.5))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(PythonException, match=message):
+            mine_distributed(spark, dseq, MiningConfig(sigma=0.5, delta=0.5))
+    assert not [w for w in caught if "reached the error below" in str(w.message)]
     assert _persisted(spark) == before
 
 

@@ -4,10 +4,13 @@ import math
 import numpy as np
 import pandas as pd
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import mi as mi_mod
+from repro.oracle import assert_equivalent
+
+from .paper_data import symbols_pandas
 
 
 def joint(d):
@@ -160,3 +163,139 @@ def test_confidence_lower_bound_validates():
 
 def test_all_pairs():
     assert len(mi_mod.all_pairs(["a", "b", "c", "d"])) == 6
+
+
+# ---- Joint symbol counts and the NMI matrix over a Spark D_SYB ----------
+
+SYB_SCHEMA = "var string, t long, symbol string"
+JOINT_COLUMNS = ["var_x", "var_y", "sym_x", "sym_y", "cnt"]
+JOINT_SQL = (
+    "SELECT a.var AS var_x, b.var AS var_y, a.symbol AS sym_x, "
+    "b.symbol AS sym_y, count(*) AS cnt "
+    "FROM dsyb a JOIN dsyb b ON a.t = b.t AND a.var < b.var "
+    "GROUP BY a.var, b.var, a.symbol, b.symbol"
+)
+
+
+def _generated_dsyb(seed, alphabets, n_slots=60, p_present=0.8):
+    """Variable ``v{i}`` draws from the ``alphabets[i]`` symbols
+    ``s{i}, s{i+1}, ...`` (so alphabets overlap but differ) and has a
+    reading in each slot with probability ``p_present``."""
+    rng = np.random.default_rng(seed)
+    rows = [
+        (f"v{i}", t, f"s{i + rng.integers(n_sym)}")
+        for i, n_sym in enumerate(alphabets)
+        for t in range(n_slots)
+        if rng.random() < p_present
+    ]
+    return pd.DataFrame(rows, columns=["var", "t", "symbol"])
+
+
+def _constant_var_dsyb():
+    pdf = _generated_dsyb(11, [2, 3, 2])
+    pdf.loc[pdf["var"] == "v1", "symbol"] = "only"
+    return pdf
+
+
+DSYB_CASES = {
+    "paper_table_i": symbols_pandas,
+    "missing_slots": lambda: _generated_dsyb(3, [2, 2, 3, 2], p_present=0.6),
+    "constant_var": _constant_var_dsyb,
+    "alphabets_3_to_5": lambda: _generated_dsyb(5, [3, 4, 5, 5, 3], p_present=1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DSYB_CASES))
+def test_joint_symbol_counts_match_oracle(spark, case):
+    pdf = DSYB_CASES[case]()
+    got = mi_mod.joint_symbol_counts(spark.createDataFrame(pdf, SYB_SCHEMA))
+    assert list(got.columns) == JOINT_COLUMNS
+    assert len(got)
+    assert_equivalent(got, JOINT_SQL, dsyb=pdf)
+
+
+@pytest.mark.parametrize(
+    "rows", [[], [("K", 0, "On"), ("K", 1, "Off")]], ids=["empty", "one_var"]
+)
+def test_joint_counts_and_nmi_without_pairs(spark, rows):
+    symbols = spark.createDataFrame(rows, SYB_SCHEMA)
+    got = mi_mod.joint_symbol_counts(symbols)
+    assert list(got.columns) == JOINT_COLUMNS
+    assert got.empty
+    nmi = mi_mod.nmi_matrix(symbols)
+    assert nmi.empty
+    assert list(nmi.index.names) == ["var_x", "var_y"]
+    assert list(nmi.columns) == ["nmi"]
+
+
+BAD_DSYB = [
+    ([("K", 0, "On"), ("T", 0, "On"), ("K", 0, "Off")], "duplicate"),
+    ([("K", 0, "On"), (None, 0, "On")], "null var"),
+    ([("K", 0, "On"), ("T", None, "On")], "null t"),
+    ([("K", 0, "On"), ("T", 0, None)], "null symbol"),
+]
+
+
+@pytest.mark.parametrize(
+    "rows,message", BAD_DSYB, ids=[m.replace(" ", "_") for _, m in BAD_DSYB]
+)
+def test_joint_symbol_counts_rejects_bad_rows(spark, rows, message):
+    symbols = spark.createDataFrame(rows, SYB_SCHEMA)
+    with pytest.raises(ValueError, match=message):
+        mi_mod.joint_symbol_counts(symbols)
+
+
+def _reference_nmi(pdf):
+    """Directed NMI from a pandas merge of every variable pair on ``t``."""
+    out = {}
+    names = sorted(pdf["var"].unique())
+    for i, vx in enumerate(names):
+        for vy in names[i + 1 :]:
+            j = pdf[pdf["var"] == vx].merge(
+                pdf[pdf["var"] == vy], on="t", suffixes=("_x", "_y")
+            )
+            if j.empty:
+                continue
+            c = j.groupby(["symbol_x", "symbol_y"]).size().unstack(fill_value=0)
+            p = c.to_numpy(dtype=float) / len(j)
+            px, py = p.sum(axis=1), p.sum(axis=0)
+            nz = p > 0
+            info = float((p[nz] * np.log(p[nz] / np.outer(px, py)[nz])).sum())
+            hx = mi_mod.entropy(px)
+            hy = mi_mod.entropy(py)
+            out[(vx, vy)] = info / hx if hx > 0 else 0.0
+            out[(vy, vx)] = info / hy if hy > 0 else 0.0
+    return out
+
+
+@st.composite
+def dsybs(draw):
+    """Up to 4 variables over up to 12 slots; a variable may miss any
+    slot and may take a single symbol (zero entropy)."""
+    rows = []
+    for v in range(draw(st.integers(1, 4))):
+        n_sym = draw(st.integers(1, 3))
+        for t in range(draw(st.integers(1, 12))):
+            sym = draw(st.integers(-1, n_sym - 1))
+            if sym >= 0:
+                rows.append((f"v{v}", t, f"s{sym}"))
+    return pd.DataFrame(rows, columns=["var", "t", "symbol"])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(pdf=dsybs())
+def test_nmi_matrix_matches_pandas_reference(spark, pdf):
+    nmi = mi_mod.nmi_matrix(spark.createDataFrame(pdf, SYB_SCHEMA))
+    got = {k: float(v) for k, v in nmi["nmi"].items()}
+    expected = _reference_nmi(pdf)
+    assert set(got) == set(expected)
+    for key, value in expected.items():
+        assert abs(got[key] - value) <= 1e-9, key
+
+
+def test_nmi_of_zero_entropy_variable_is_zero(spark):
+    pdf = _constant_var_dsyb()
+    nmi = mi_mod.nmi_matrix(spark.createDataFrame(pdf, SYB_SCHEMA))
+    for other in ("v0", "v2"):
+        assert float(nmi.loc[("v1", other), "nmi"]) == 0.0
+        assert float(nmi.loc[(other, "v1"), "nmi"]) == pytest.approx(0.0, abs=1e-12)
