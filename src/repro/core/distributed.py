@@ -9,20 +9,22 @@ work on the executors, partitioned by sequence:
   (the only shuffle) and cached.  Every sequence lies whole in exactly
   one partition.
 * **L1 + L2 pass** — one ``mapInPandas`` over the partitions checks
-  every row with :func:`repro.core.seqdb.check_dseq_row`, builds each
-  sequence as ``{event: sorted instances}`` and emits partial counts,
+  every row (:func:`repro.core.seqdb.check_dseq_frame`, the checks of
+  :func:`repro.core.seqdb.check_dseq_row` over the whole Arrow batch),
+  builds the partition's :class:`repro.core.enumerate.InstanceTable`
+  straight from the batch columns and emits partial counts,
   pre-aggregated per partition: ``max(seq_id) + 1``, event supports,
-  and ``(event_i, event_j, rel)`` supports from extending one-instance
-  embeddings with :func:`repro.core.enumerate.extend_embeddings`.  The
+  and ``(event_i, event_j, rel)`` supports from one
+  :func:`repro.core.enumerate.extend` call over every event pair.  The
   level loop takes its L1 and L2 counts from their sums.
 * **Lk pass, one per level** — the level loop derives the level's
   candidates and the relations each may use; the kept patterns of
   levels 2..k-1 and the candidates travel to the executors in the task
   closure.  A ``mapInPandas`` rebuilds the embeddings of those kept
-  patterns in every sequence of its partition, extending one event at
-  a time with the same ``extend_embeddings`` step as the driver miner,
-  and emits partial ``(candidate, rels)`` counts of level k.  A level
-  with no candidate runs no pass.
+  patterns in its partition, one ``extend`` call per level, with the
+  same columnar kernel as the driver miner, and emits partial
+  ``(candidate, rels)`` counts of level k.  A level with no candidate
+  runs no pass.
 
 Support counts sequences, and no sequence spans two partitions, so a
 support is the exact sum of the per-partition counts and the driver
@@ -41,11 +43,11 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from .collect import arrow_collect
-from .enumerate import extend_embeddings, seed_embeddings
+from .enumerate import InstanceTable, extend
 from .htpgm import Candidate, Count, MiningConfig, Node, mine_levels
-from .model import EventId, Instance, MiningResult
+from .model import EventId, MiningResult
 from .relations import RELATIONS
-from .seqdb import DSEQ_COLUMNS, check_dseq_row
+from .seqdb import DSEQ_COLUMNS, check_dseq_frame
 
 #: Rows of the L1 + L2 pass.  ``(NULL, NULL, NULL, n)`` carries the
 #: partition's ``max(seq_id) + 1``, ``(event, NULL, NULL, supp)`` an
@@ -62,23 +64,17 @@ def partition_sequences(dseq: DataFrame) -> DataFrame:
     return dseq.select(*DSEQ_COLUMNS).repartition(n_parts, "seq_id")
 
 
-def _sequences(batches) -> dict[int, dict[EventId, list[Instance]]]:
-    """One partition's rows as ``{seq_id: {event: sorted instances}}``;
-    a row that fails :func:`check_dseq_row` raises ``ValueError``."""
-    seqs: dict[int, dict[EventId, list[Instance]]] = {}
-    for pdf in batches:
-        for sid, ev, s, e in zip(
-            pdf["seq_id"].tolist(),
-            pdf["event"].tolist(),
-            pdf["start"].tolist(),
-            pdf["end"].tolist(),
-        ):
-            check_dseq_row(sid, ev, s, e)
-            seqs.setdefault(sid, {}).setdefault(ev, []).append((s, e))
-    for seq in seqs.values():
-        for insts in seq.values():
-            insts.sort(key=lambda it: (it[0], -it[1]))
-    return seqs
+def _table(batches) -> tuple[InstanceTable, int] | None:
+    """One partition's rows as an instance table, with its
+    ``max(seq_id) + 1``; ``None`` for an empty partition.  A row that
+    fails :func:`repro.core.seqdb.check_dseq_row` raises ``ValueError``."""
+    frames = [pdf for pdf in batches if not pdf.empty]
+    if not frames:
+        return None
+    pdf = pd.concat(frames, ignore_index=True)
+    check_dseq_frame(pdf)
+    table = InstanceTable.from_columns(*(pdf[c].to_numpy() for c in DSEQ_COLUMNS))
+    return table, int(pdf["seq_id"].max()) + 1
 
 
 def level12_partial_supports(
@@ -87,22 +83,21 @@ def level12_partial_supports(
     """The L1 + L2 pass over sequence partitions (see ``LEVEL12_SCHEMA``)."""
 
     def count(batches):
-        seqs = _sequences(batches)
-        if not seqs:
+        built = _table(batches)
+        if built is None:
             return
-        events = Counter(ev for seq in seqs.values() for ev in seq)
-        pairs: Counter = Counter()
-        for e1 in events:
-            seeds = seed_embeddings(seqs.items(), e1)
-            for e2 in events:
-                by_tuple, _ = extend_embeddings(
-                    seeds, e2, seqs, [RELATIONS], epsilon, d_o, t_max
-                )
-                for (r,), sids in by_tuple.items():
-                    pairs[(e1, e2, r)] += len(sids)
-        rows = [(None, None, None, max(seqs) + 1)]
-        rows += [(e, None, None, c) for e, c in events.items()]
-        rows += [(e1, e2, r, c) for (e1, e2, r), c in pairs.items()]
+        table, n = built
+        pairs = [((e1, e2), [RELATIONS]) for e1 in table.events for e2 in table.events]
+        ext = extend(
+            table, table.singletons(), pairs, epsilon=epsilon, d_o=d_o, t_max=t_max
+        )
+        rows = [(None, None, None, n)]
+        rows += [(e, None, None, c) for e, c in table.supports().items()]
+        rows += [
+            (e1, e2, r, c)
+            for ((e1, e2), _), tuples in zip(pairs, ext.supports)
+            for (r,), c in tuples.items()
+        ]
         yield pd.DataFrame(rows, columns=["event_i", "event_j", "rel", "supp"])
 
     return parts.mapInPandas(count, LEVEL12_SCHEMA)
@@ -118,26 +113,30 @@ def _level_k_partial_supports(
     level.  ``plan[j]`` maps the level ``j + 2`` nodes whose embeddings
     the next level extends to their kept relation tuples and, as in a
     candidate, the relations allowed to their last event."""
-    params = (cfg.epsilon, cfg.d_o, cfg.t_max)
-    firsts = {node[0] for node in plan[0]}
+    params = {"epsilon": cfg.epsilon, "d_o": cfg.d_o, "t_max": cfg.t_max}
 
     def count(batches):
-        seqs = _sequences(batches)
-        embs = {(e,): seed_embeddings(seqs.items(), e) for e in firsts}
+        built = _table(batches)
+        if built is None:
+            return
+        table, _ = built
+        embs = table.singletons()
         for kept in plan:
-            nxt = {}
-            for node, (tuples, allowed_last) in kept.items():
-                _, ext = extend_embeddings(
-                    embs.get(node[:-1], []), node[-1], seqs, allowed_last, *params
-                )
-                nxt[node] = [x for x in ext if x[3] in tuples]
-            embs = nxt
-        rows = []
-        for idx, (node, allowed_last) in enumerate(candidates):
-            by_tuple, _ = extend_embeddings(
-                embs.get(node[:-1], []), node[-1], seqs, allowed_last, *params
-            )
-            rows += [(idx, ",".join(t), len(s)) for t, s in by_tuple.items()]
+            embs = extend(
+                table,
+                embs,
+                [(node, allowed_last) for node, (_, allowed_last) in kept.items()],
+                keep=lambda node, tuples: {
+                    t: s for t, s in tuples.items() if t in kept[node][0]
+                },
+                **params,
+            ).embeddings
+        ext = extend(table, embs, candidates, **params)
+        rows = [
+            (idx, ",".join(t), s)
+            for idx, tuples in enumerate(ext.supports)
+            for t, s in tuples.items()
+        ]
         if rows:
             yield pd.DataFrame(rows, columns=["node", "rels", "supp"])
 

@@ -26,15 +26,26 @@ both run it:
 Only support counting differs between the miners, and the loop takes it
 as a function.  The driver has two: :func:`_count_embeddings`
 (E-HTPGM: HPG nodes store the embeddings of their kept patterns, as
-Fig. 4's nodes store instance lists, and a candidate extends its
-prefix's embeddings by one event) and :func:`_count_rescan` (the
-NoPrune/Apriori ablation: every candidate is enumerated again from the
-raw sequences, the cost Figs. 6–7 measure).  The four pruning
-configurations map to ``prune_apriori`` / ``prune_trans``; all four
-return identical pattern sets (regression-tested).
+Fig. 4's nodes store instance lists, and each level extends its
+prefixes' embeddings by one event with the columnar kernel
+:func:`repro.core.enumerate.extend`, one call per level) and
+:func:`_count_rescan` (the NoPrune/Apriori ablation: every candidate is
+enumerated again from the raw sequences by the depth-first
+:func:`repro.core.enumerate.enumerate_pattern_tuples`, the cost
+Figs. 6–7 measure).  The four pruning configurations map to
+``prune_apriori`` / ``prune_trans``; all four return identical pattern
+sets (regression-tested).
+
+Besides the per-level records of :class:`repro.core.model.MiningResult`,
+``stats`` holds the run's counters: ``candidates_l2``,
+``candidates_k``, ``enumerated_nodes`` and ``sequence_scans`` summed
+over levels, ``seconds_l{k}`` (wall time of level ``k``) for every
+mined level, and, from E-HTPGM's counting, ``pairs_checked_l{k}`` and
+``embeddings_kept_l{k}``.
 """
 from __future__ import annotations
 
+import time
 from collections import Counter
 from collections.abc import Callable, Collection
 from dataclasses import dataclass, replace
@@ -42,18 +53,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .enumerate import (
-    Embedding,
+    InstanceTable,
+    Node,
+    Supports,
     enumerate_pattern_tuples,
-    extend_embeddings,
-    seed_embeddings,
+    extend,
 )
 from .model import EventId, MiningResult, min_support
 from .relations import RELATIONS
 from .seqdb import SequenceDatabase
 
-Node = tuple[EventId, ...]
-#: Relation tuple -> support of one node.
-Supports = dict[tuple[str, ...], int]
 #: A candidate node and, per earlier position ``i``, the relations
 #: allowed between ``E_i`` and its last event.
 Candidate = tuple[Node, list[Collection[str]]]
@@ -136,7 +145,8 @@ def mine_levels(
     tuple of ``node`` whose last event relates to position ``i`` by a
     relation in ``allowed_last[i]``.  It returns the green nodes, those
     where ``keep(node, tuple_supports)`` (the σ/δ filter) is non-empty,
-    mapped to that result, and may add counters of its own to ``stats``.
+    mapped to that result, and may add counters of its own to ``stats``;
+    the loop records each level's wall time as ``seconds_l{k}``.
     ``group_support(node)``, when given, is the number of sequences
     holding every event of ``node``; with ``cfg.prune_apriori`` it gates
     the candidates by Lemmas 2/3.  ``edge_filter`` gates the L2 pairs,
@@ -164,6 +174,7 @@ def mine_levels(
     for k in range(2, cfg.max_k + 1):
         if not level:
             break
+        t0 = time.perf_counter()
         new = sorted({e for node in level for e in node}) if cfg.prune_trans else events1
         stats["candidates_l2" if k == 2 else "candidates_k"] += len(level) * len(new)
         candidates: list[Candidate] = []
@@ -198,6 +209,7 @@ def mine_levels(
             allowed = {
                 pair: frozenset(t[0] for t in pats) for pair, pats in level.items()
             }
+        stats[f"seconds_l{k}"] = time.perf_counter() - t0
     return result
 
 
@@ -206,33 +218,41 @@ def _count_embeddings(db: SequenceDatabase, cfg: MiningConfig) -> Count:
 
     A candidate extends the embeddings of its prefix node by its last
     event (L2 extends the one-instance embeddings), checking only the
-    new relations.  A green node stores the embeddings that realize its
-    kept tuples — sound by pattern-level Apriori + Lemma 6: any
-    frequent, confident k-pattern projects onto a frequent, confident
-    (k-1)-prefix and frequent, confident 2-event relations.
+    new relations; :func:`repro.core.enumerate.extend` does a whole
+    level in one columnar call.  A green node stores the embeddings
+    that realize its kept tuples — sound by pattern-level Apriori +
+    Lemma 6: any frequent, confident k-pattern projects onto a
+    frequent, confident (k-1)-prefix and frequent, confident 2-event
+    relations.  The last level (``cfg.max_k``) stores none, as no level
+    extends it.  Records ``pairs_checked_l{k}`` and
+    ``embeddings_kept_l{k}`` in ``stats``.
     """
-    embs: dict[Node, list[Embedding]] = {
-        (e,): seed_embeddings(enumerate(db.sequences), e) for e in db.bitmaps
-    }
+    table = InstanceTable.from_sequences(db.sequences)
+    embs = table.singletons()
 
     def count(candidates, keep, stats):
         nonlocal embs
-        level, stored = {}, {}
-        for node, allowed_last in candidates:
-            by_tuple, ext = extend_embeddings(
-                embs[node[:-1]],
-                node[-1],
-                db.sequences,
-                allowed_last,
-                cfg.epsilon,
-                cfg.d_o,
-                cfg.t_max,
-            )
-            pats = keep(node, {t: len(s) for t, s in by_tuple.items()})
+        if not candidates:
+            return {}
+        k = len(candidates[0][0])
+        last = k == cfg.max_k
+        ext = extend(
+            table,
+            embs,
+            candidates,
+            epsilon=cfg.epsilon,
+            d_o=cfg.d_o,
+            t_max=cfg.t_max,
+            keep=None if last else keep,
+        )
+        level = {}
+        for (node, _), tuples in zip(candidates, ext.supports):
+            pats = keep(node, tuples) if last else tuples
             if pats:
                 level[node] = pats
-                stored[node] = [x for x in ext if x[3] in pats]
-        embs = stored
+        stats[f"pairs_checked_l{k}"] = ext.pairs_checked
+        stats[f"embeddings_kept_l{k}"] = 0 if last else len(ext.embeddings)
+        embs = ext.embeddings
         return level
 
     return count

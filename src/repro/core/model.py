@@ -62,7 +62,7 @@ class MiningResult:
     patterns: dict[PatternKey, int]
     node_counts: dict[int, int] = field(default_factory=dict)
     pattern_counts: dict[int, int] = field(default_factory=dict)
-    stats: dict[str, int] = field(default_factory=dict)
+    stats: dict[str, float] = field(default_factory=dict)
 
     def confidence(self, key: PatternKey) -> float:
         """conf(P) = supp(P) / max_k supp(E_k) (paper Eq. 6)."""

@@ -4,7 +4,7 @@ The paper reduces Allen's seven relations to three — *Follow*, *Contain*
 and *Overlap* — and makes them tolerant to small misalignments through a
 buffer ``epsilon`` while keeping them mutually exclusive.  Definitions
 (for instances ``e1 = [s1, e1)`` and ``e2 = [s2, e2)`` with ``e1``
-ordered no later than ``e2``, see :func:`repro.core.enumerate.order_key`):
+ordered no later than ``e2``, see :mod:`repro.core.enumerate`):
 
 * ``Follow``  iff ``s2 >= end1 - epsilon``
 * ``Contain`` iff ``s1 <= s2`` and ``end1 + epsilon >= end2``
@@ -17,6 +17,8 @@ with the first instance strictly shorter), in which case the instance
 pair cannot participate in a pattern.
 """
 from __future__ import annotations
+
+import numpy as np
 
 # Single-character relation codes keep pattern keys compact; rendered
 # via RELATION_NAMES for human-facing output.
@@ -46,6 +48,21 @@ def relation(
     if s1 < s2 and end1 + epsilon < end2 and end1 - s2 >= d_o - epsilon:
         return OVERLAP
     return None
+
+
+def relation_codes(s1, end1, s2, end2, epsilon: int = 0, d_o: int = 1) -> np.ndarray:
+    """The same decision tree as :func:`relation`, over arrays.
+
+    Returns, per element, the index of the relation in
+    :data:`RELATIONS` (0 Follow, 1 Contain, 2 Overlap) or -1 where no
+    relation holds, as ``int8``.
+    """
+    codes = np.full(np.shape(s2), -1, dtype=np.int8)
+    # Assigned in reverse of the tree's order, so an earlier test wins.
+    codes[(s1 < s2) & (end1 + epsilon < end2) & (end1 - s2 >= d_o - epsilon)] = 2
+    codes[(s1 <= s2) & (end1 + epsilon >= end2)] = 1
+    codes[s2 >= end1 - epsilon] = 0
+    return codes
 
 
 def relation_sql(

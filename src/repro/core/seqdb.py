@@ -33,6 +33,22 @@ def check_dseq_row(seq_id, event, start, end) -> None:
         raise ValueError(f"D_SEQ row {row}: start must be < end")
 
 
+def check_dseq_frame(pdf: pd.DataFrame) -> None:
+    """:func:`check_dseq_row` over every row of a D_SEQ frame, vectorized:
+    raise its ``ValueError`` for the first row that fails."""
+    seq_id = pdf["seq_id"]
+    bad = pdf["event"].isna().to_numpy() | ~(pdf["start"] < pdf["end"]).to_numpy()
+    if seq_id.dtype.kind in "iu":
+        bad |= (seq_id < 0).to_numpy()
+    else:  # a float column (it holds a null) or objects
+        bad |= seq_id.map(
+            lambda v: not isinstance(v, (int, np.integer)) or v < 0
+        ).to_numpy(bool)
+    if bad.any():
+        i = int(np.argmax(bad))
+        check_dseq_row(*(pdf[c].iloc[i : i + 1].tolist()[0] for c in DSEQ_COLUMNS))
+
+
 @dataclass
 class SequenceDatabase:
     """Temporal sequence database D_SEQ (paper Def. 3.10) + bitmaps."""

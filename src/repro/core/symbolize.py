@@ -44,8 +44,9 @@ def percentile_symbolize(
 ) -> DataFrame:
     """Per-variable percentile binning into ``len(labels)`` states.
 
-    ``percentiles`` are the *upper* boundaries (fractions in (0, 1)) of
-    the first ``len(labels) - 1`` bins; a value whose per-variable
+    ``percentiles`` are the *upper* boundaries (strictly increasing
+    fractions in (0, 1), else ``ValueError``) of the first
+    ``len(labels) - 1`` bins; a value whose per-variable
     ``percent_rank`` falls below boundary ``i`` gets ``labels[i]``, and
     anything above the last boundary gets ``labels[-1]``.  Defaults to
     equi-depth bins.
@@ -57,6 +58,12 @@ def percentile_symbolize(
         percentiles = [i / n for i in range(1, n)]
     if len(percentiles) != n - 1:
         raise ValueError("need len(labels) - 1 percentile boundaries")
+    bounds = [0.0, *percentiles, 1.0]
+    if any(not lo < hi for lo, hi in zip(bounds, bounds[1:])):
+        raise ValueError(
+            "percentile boundaries must be strictly increasing inside (0, 1), "
+            f"got {list(percentiles)!r}"
+        )
     w = Window.partitionBy("var").orderBy("value")
     pr = F.percent_rank().over(w)
     expr = F.lit(labels[-1])

@@ -152,6 +152,7 @@ def _assert_same_result(spark, db, cfg):
     assert got.n_sequences == expected.n_sequences
     for key in ("candidates_l2", "candidates_k"):
         assert got.stats[key] == expected.stats[key], key
+    assert {f"seconds_l{k}" for k in got.node_counts if k >= 2} <= got.stats.keys()
     return got
 
 

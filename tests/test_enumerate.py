@@ -1,8 +1,13 @@
 """Tests for the shared embedding enumeration."""
+from collections import Counter
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.enumerate import (
+    InstanceTable,
     enumerate_pattern_tuples,
-    extend_embeddings,
-    seed_embeddings,
+    extend,
 )
 from repro.core.relations import RELATIONS
 
@@ -84,19 +89,26 @@ def test_t_max_measured_to_last_end():
     assert enumerate_pattern_tuples(inst, ("A", "B"), t_max=19) == set()
 
 
-def _extend_tuples(inst, node, allowed):
-    """Relation tuples of ``node`` in the one sequence ``inst``, built by
-    extending one event at a time; ``allowed[(i, j)]`` restricts the
-    relation between positions ``i`` and ``j`` (default: any)."""
-    seqs = {0: inst}
-    embs = seed_embeddings(seqs.items(), node[0])
-    by_tuple = {}
+def _extend_supports(sequences, node, allowed=None, **params):
+    """Supports of ``node``'s relation tuples in ``sequences``, built by
+    :func:`extend` one event at a time, keeping every tuple;
+    ``allowed[(i, j)]`` restricts the relation between positions ``i``
+    and ``j`` (default: any)."""
+    allowed = allowed or {}
+    table = InstanceTable.from_sequences(sequences)
+    embs, supports = table.singletons(), {}
     for j in range(1, len(node)):
         allowed_last = [allowed.get((i, j), RELATIONS) for i in range(j)]
-        by_tuple, embs = extend_embeddings(
-            embs, node[j], seqs, allowed_last, 0, 1, None
+        ext = extend(
+            table, embs, [(node[: j + 1], allowed_last)], keep=lambda n, t: t, **params
         )
-    return set(by_tuple)
+        embs, supports = ext.embeddings, ext.supports[0]
+    return supports
+
+
+def _extend_tuples(inst, node, allowed):
+    """Relation tuples of ``node`` in the one sequence ``inst``."""
+    return set(_extend_supports([inst], node, allowed))
 
 
 def test_allowed_restricts_relations():
@@ -139,3 +151,39 @@ def test_duplicate_event_three_times():
     inst = {"A": [(0, 2), (4, 6), (8, 10)]}
     got = enumerate_pattern_tuples(inst, ("A", "A", "A"))
     assert got == {("F", "F", "F")}
+
+
+@st.composite
+def _sequences(draw):
+    """Up to 5 sequences of up to 9 instances of 3 events, with starts
+    and lengths from small ranges: equal starts, identical intervals
+    (of one event too), absent events and empty sequences are common."""
+    return [
+        {
+            ev: [
+                (s, s + draw(st.integers(1, 5)))
+                for s in draw(st.lists(st.integers(0, 8), min_size=1, max_size=3))
+            ]
+            for ev in "ABC"
+            if draw(st.booleans())
+        }
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    seqs=_sequences(),
+    node=st.lists(st.sampled_from("ABC"), min_size=2, max_size=4).map(tuple),
+    epsilon=st.sampled_from([0, 1, 2]),
+    d_o=st.sampled_from([1, 2, 3]),
+    t_max=st.sampled_from([None, 3, 6, 10]),
+)
+def test_extend_supports_equal_dfs(seqs, node, epsilon, d_o, t_max):
+    """With every relation allowed, the kernel's per-tuple supports are
+    the depth-first enumeration's tuples counted over sequences."""
+    params = {"epsilon": epsilon, "d_o": d_o, "t_max": t_max}
+    expected = Counter()
+    for inst in seqs:
+        expected.update(enumerate_pattern_tuples(inst, node, **params))
+    assert _extend_supports(seqs, node, **params) == dict(expected)

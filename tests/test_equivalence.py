@@ -17,16 +17,17 @@ VARIANTS = ("noprune", "apriori", "trans", "all")
 
 @st.composite
 def databases(draw):
-    """Up to 6 sequences of up to 6 instances of 3 events.  Starts and
+    """Up to 6 sequences of up to 10 instances of 4 events.  Starts and
     lengths come from small ranges, so equal starts and identical
-    intervals are common; a sequence may be empty."""
+    intervals are common; a sequence may be empty or miss events, and a
+    level has several candidates per prefix and self-pairs."""
     n_seq = draw(st.integers(1, 6))
     rows = set()
     for sid in range(n_seq):
-        for _ in range(draw(st.integers(0, 6))):
+        for _ in range(draw(st.integers(0, 10))):
             start = draw(st.integers(0, 8))
             end = start + draw(st.integers(1, 6))
-            rows.add((sid, draw(st.sampled_from("ABC")), start, end))
+            rows.add((sid, draw(st.sampled_from("ABCD")), start, end))
     if not rows or max(r[0] for r in rows) < n_seq - 1:
         rows.add((n_seq - 1, "A", 0, 1))  # n_seq = max(seq_id) + 1
     return SequenceDatabase.from_rows(sorted(rows))

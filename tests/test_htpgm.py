@@ -233,3 +233,23 @@ def test_variant_counters_pinned(case):
     counters, node_counts = PINNED_COUNTERS[case]
     assert tuple(r.stats[k] for k in keys) == counters
     assert r.node_counts == node_counts
+
+
+def test_per_level_counters_repeat():
+    """Per level, the driver miner reports the instance pairs it checked,
+    the embeddings it kept (none at ``max_k``, which nothing extends)
+    and the wall time; the counts repeat exactly."""
+    db = random_db(seed=4, n_seq=20, n_vars=5)
+    runs = [mine(db, cfg(sigma=0.4, delta=0.4, max_k=4)) for _ in range(2)]
+    counts = [
+        {k: v for k, v in r.stats.items() if not k.startswith("seconds_")}
+        for r in runs
+    ]
+    assert counts[0] == counts[1]
+    levels = [k for k in runs[0].node_counts if k >= 2]
+    assert levels == [2, 3, 4]
+    for k in levels:
+        assert f"seconds_l{k}" in runs[0].stats
+        kept = counts[0][f"embeddings_kept_l{k}"]
+        assert 0 <= kept <= counts[0][f"pairs_checked_l{k}"]
+        assert (kept > 0) == (k < 4 and runs[0].node_counts[k] > 0)

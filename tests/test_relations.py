@@ -1,5 +1,8 @@
 """Unit tests for the simplified Allen relation model (paper §III-B)."""
+import itertools
+
 import duckdb
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,7 +11,9 @@ from repro.core.relations import (
     CONTAIN,
     FOLLOW,
     OVERLAP,
+    RELATIONS,
     relation,
+    relation_codes,
     relation_sql,
 )
 
@@ -121,3 +126,14 @@ def test_relation_sql_matches_python(s1, d1, s2off, d2, eps, d_o):
     sql = relation_sql(str(s1), str(e1), str(s2), str(e2), eps, d_o)
     got = duckdb.sql(f"SELECT {sql} AS r").fetchone()[0]
     assert got == relation(s1, e1, s2, e2, eps, d_o)
+
+
+@pytest.mark.parametrize("eps,d_o", [(0, 1), (1, 2), (2, 3), (0, 4)])
+def test_relation_codes_match_python(eps, d_o):
+    """The array form the extension kernel uses agrees with
+    :func:`relation` on every pair of small intervals, ordered or not."""
+    ivs = [(s, e) for s in range(7) for e in range(s + 1, 9)]
+    pairs = np.array([a + b for a, b in itertools.product(ivs, ivs)])
+    got = relation_codes(*pairs.T, eps, d_o)
+    expected = [relation(*p, eps, d_o) for p in pairs.tolist()]
+    assert [RELATIONS[c] if c >= 0 else None for c in got.tolist()] == expected

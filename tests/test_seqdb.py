@@ -3,7 +3,12 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.seqdb import SequenceDatabase
+from repro.core.seqdb import (
+    DSEQ_COLUMNS,
+    SequenceDatabase,
+    check_dseq_frame,
+    check_dseq_row,
+)
 
 from .util import BAD_ROWS, kitchen_db, random_db
 
@@ -89,3 +94,24 @@ def test_from_rows_rejects_bad_rows(rows, message):
 def test_from_rows_rejects_seq_id_beyond_n_seq():
     with pytest.raises(ValueError, match="not below n_seq"):
         SequenceDatabase.from_rows([(0, "A", 0, 1), (3, "B", 1, 2)], n_seq=2)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [rows for rows, _ in BAD_ROWS]
+    + [
+        [(0, "A", 0, 1), (None, "B", 2, 3)],
+        [(0, "A", 0, 1), (1, "B", None, 3)],
+        [(0, "A", 0, 1), (1, "B", 3, 3), (-1, None, 4, 2)],
+    ],
+)
+def test_check_dseq_frame_reports_first_bad_row(rows):
+    """The vectorized check raises the row check's error for the first
+    row that fails it, as a row-by-row pass over the same frame does."""
+    pdf = pd.DataFrame(rows, columns=list(DSEQ_COLUMNS))
+    with pytest.raises(ValueError) as expected:
+        for row in zip(*(pdf[c].tolist() for c in DSEQ_COLUMNS)):
+            check_dseq_row(*row)
+    with pytest.raises(ValueError) as got:
+        check_dseq_frame(pdf)
+    assert str(got.value) == str(expected.value)

@@ -91,6 +91,19 @@ def test_percentile_symbolize_validates_args(spark, readings_pdf):
         percentile_symbolize(df, ["a", "b", "c"], [0.5])
 
 
+@pytest.mark.parametrize(
+    "percentiles",
+    [[0.95, 0.75, 0.5], [0.25, 0.5, 0.5], [0.0, 0.5, 0.75], [0.25, 0.5, 1.0]],
+    ids=["unsorted", "duplicate", "zero", "one"],
+)
+def test_percentile_symbolize_rejects_bad_boundaries(spark, readings_pdf, percentiles):
+    """Unsorted boundaries gave every value below the largest one the
+    first label; the bad input is now refused before any Spark plan."""
+    df = spark.createDataFrame(readings_pdf)
+    with pytest.raises(ValueError, match="strictly increasing inside"):
+        percentile_symbolize(df, ["a", "b", "c", "d"], percentiles)
+
+
 def _instances_oracle_sql() -> str:
     return (
         "SELECT var, symbol, min(t) AS start, max(t) + 1 AS \"end\" FROM ("
