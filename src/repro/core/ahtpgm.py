@@ -43,9 +43,16 @@ class CorrelationGraph:
     def from_nmi(
         cls, nmi: pd.DataFrame, *, mu: float | None = None, density: float | None = None
     ) -> "CorrelationGraph":
-        """Build from a directed NMI frame, via explicit μ or a density."""
+        """Build from a directed NMI frame, via explicit μ or a density.
+
+        Both lie in [0, 1]; a value outside it, or NaN, raises
+        ``ValueError``.
+        """
         if (mu is None) == (density is None):
             raise ValueError("give exactly one of mu / density")
+        for name, value in (("mu", mu), ("density", density)):
+            if value is not None and not 0 <= value <= 1:
+                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
         if mu is None:
             mu = mi_mod.mu_for_density(nmi, density)
         edges = mi_mod.correlation_edges(nmi, mu)

@@ -11,9 +11,8 @@ decision tree of :func:`repro.core.relations.relation`:
   event, columnar and in one call per level — the level step of
   E-HTPGM and of the distributed miner;
 * :func:`enumerate_pattern_tuples` enumerates a whole node in one
-  sequence from scratch, depth first — the NoPrune/Apriori ablation,
-  the IEMiner and TPMiner baselines, and the tests' reference for
-  :func:`extend`.
+  sequence from scratch, depth first — the IEMiner and TPMiner
+  baselines, and the tests' reference for :func:`extend`.
 
 Chronological order (paper Def. 3.9 orders instances by start time) is
 made total and deterministic with the key ``(start, -end, event_id)``:

@@ -24,41 +24,30 @@ both run it:
   frequent, Defs. 3.12/3.14).
 
 Only support counting differs between the miners, and the loop takes it
-as a function.  The driver has two: :func:`_count_embeddings`
-(E-HTPGM: HPG nodes store the embeddings of their kept patterns, as
-Fig. 4's nodes store instance lists, and each level extends its
-prefixes' embeddings by one event with the columnar kernel
-:func:`repro.core.enumerate.extend`, one call per level) and
-:func:`_count_rescan` (the NoPrune/Apriori ablation: every candidate is
-enumerated again from the raw sequences by the depth-first
-:func:`repro.core.enumerate.enumerate_pattern_tuples`, the cost
-Figs. 6–7 measure).  The four pruning configurations map to
-``prune_apriori`` / ``prune_trans``; all four return identical pattern
-sets (regression-tested).
+as a function.  The driver's is :func:`_count_embeddings`: HPG nodes
+store the embeddings of their kept patterns, as Fig. 4's nodes store
+instance lists, and each level extends its prefixes' embeddings by one
+event with the columnar kernel :func:`repro.core.enumerate.extend`, one
+call per level; the distributed miner runs the same kernel per
+partition.  The four pruning configurations of the Figs. 6–7 ablation
+map to ``prune_apriori`` / ``prune_trans`` and differ only in the
+candidates the loop admits; all four count with the same function and
+return identical pattern sets (regression-tested).
 
 Besides the per-level records of :class:`repro.core.model.MiningResult`,
 ``stats`` holds the run's counters: ``candidates_l2``,
-``candidates_k``, ``enumerated_nodes`` and ``sequence_scans`` summed
-over levels, ``seconds_l{k}`` (wall time of level ``k``) for every
-mined level, and, from E-HTPGM's counting, ``pairs_checked_l{k}`` and
+``candidates_k`` and ``enumerated_nodes`` summed over levels,
+``seconds_l{k}`` (wall time of level ``k``) for every mined level, and,
+from the driver's counting, ``pairs_checked_l{k}`` and
 ``embeddings_kept_l{k}``.
 """
 from __future__ import annotations
 
 import time
-from collections import Counter
 from collections.abc import Callable, Collection
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-from .enumerate import (
-    InstanceTable,
-    Node,
-    Supports,
-    enumerate_pattern_tuples,
-    extend,
-)
+from .enumerate import InstanceTable, Node, Supports, extend
 from .model import EventId, MiningResult, min_support
 from .relations import RELATIONS
 from .seqdb import SequenceDatabase
@@ -114,16 +103,20 @@ def mine(
 ) -> MiningResult:
     """Run (E-)HTPGM on ``db``.
 
+    Every pruning configuration counts support with
+    :func:`_count_embeddings`; ``cfg.prune_apriori`` and
+    ``cfg.prune_trans`` only change the candidates :func:`mine_levels`
+    admits.
+
     ``edge_filter(ev_i, ev_j) -> bool``, when given, additionally gates
     which L2 event pairs are considered — the hook through which
     A-HTPGM plugs in its correlation graph (paper Alg. 2 lines 9-11).
     """
-    count = _count_embeddings(db, cfg) if cfg.prune_trans else _count_rescan(db, cfg)
     return mine_levels(
         db.n_seq,
         db.event_supports(),
         cfg,
-        count,
+        _count_embeddings(db, cfg),
         group_support=db.group_support,
         edge_filter=edge_filter,
     )
@@ -158,7 +151,7 @@ def mine_levels(
         n_sequences=n, frequent_events=dict(one_freq), patterns={}
     )
     stats = result.stats = dict.fromkeys(
-        ("candidates_l2", "candidates_k", "enumerated_nodes", "sequence_scans"), 0
+        ("candidates_l2", "candidates_k", "enumerated_nodes"), 0
     )
     result.node_counts[1] = result.pattern_counts[1] = len(one_freq)
 
@@ -220,21 +213,22 @@ def _count_embeddings(db: SequenceDatabase, cfg: MiningConfig) -> Count:
     event (L2 extends the one-instance embeddings), checking only the
     new relations; :func:`repro.core.enumerate.extend` does a whole
     level in one columnar call.  A green node stores the embeddings
-    that realize its kept tuples — sound by pattern-level Apriori +
-    Lemma 6: any frequent, confident k-pattern projects onto a
-    frequent, confident (k-1)-prefix and frequent, confident 2-event
-    relations.  The last level (``cfg.max_k``) stores none, as no level
-    extends it.  Records ``pairs_checked_l{k}`` and
-    ``embeddings_kept_l{k}`` in ``stats``.
+    that realize its kept tuples — sound by pattern-level Apriori: a
+    frequent, confident k-pattern's (k-1)-prefix has no less support
+    and no larger maximal event support, so it is kept too.  This needs
+    no transitivity pruning, so all four pruning configurations count
+    here; with it (Lemma 6) the new relations are also restricted to
+    the green L2 ones.  The last level (``cfg.max_k``) stores none, as
+    no level extends it.  Records ``pairs_checked_l{k}`` and
+    ``embeddings_kept_l{k}`` in ``stats`` for every counted level, 0 for
+    a level without candidates.
     """
     table = InstanceTable.from_sequences(db.sequences)
     embs = table.singletons()
 
     def count(candidates, keep, stats):
         nonlocal embs
-        if not candidates:
-            return {}
-        k = len(candidates[0][0])
+        k = len(embs.start) + 1  # embs holds the (k-1)-event embeddings
         last = k == cfg.max_k
         ext = extend(
             table,
@@ -251,41 +245,10 @@ def _count_embeddings(db: SequenceDatabase, cfg: MiningConfig) -> Count:
             if pats:
                 level[node] = pats
         stats[f"pairs_checked_l{k}"] = ext.pairs_checked
-        stats[f"embeddings_kept_l{k}"] = 0 if last else len(ext.embeddings)
+        stats[f"embeddings_kept_l{k}"] = (
+            0 if ext.embeddings is None else len(ext.embeddings)
+        )
         embs = ext.embeddings
-        return level
-
-    return count
-
-
-def _count_rescan(db: SequenceDatabase, cfg: MiningConfig) -> Count:
-    """The NoPrune/Apriori ablation's counting: enumerate every candidate
-    again from the raw sequences — all of them, or with Apriori pruning
-    those holding every event of the candidate."""
-
-    def count(candidates, keep, stats):
-        level = {}
-        for node, _ in candidates:
-            sids = (
-                np.flatnonzero(db.group_bitmap(node))
-                if cfg.prune_apriori
-                else range(db.n_seq)
-            )
-            stats["sequence_scans"] += len(sids)
-            tuples: Counter = Counter()
-            for sid in sids:
-                tuples.update(
-                    enumerate_pattern_tuples(
-                        db.sequences[sid],
-                        node,
-                        epsilon=cfg.epsilon,
-                        d_o=cfg.d_o,
-                        t_max=cfg.t_max,
-                    )
-                )
-            pats = keep(node, tuples)
-            if pats:
-                level[node] = pats
         return level
 
     return count

@@ -76,14 +76,21 @@ def windowed_symbolize(
 
 
 def run_available_now(
-    sdf: DataFrame, query_name: str, *, timeout_sec: int = 120
+    sdf: DataFrame, query_name: str, *, timeout_sec: float = 120
 ) -> DataFrame:
     """Drain a streaming aggregation into an in-memory table.
 
     Uses ``complete`` output mode (the aggregation state is small: one
     row per variable and slot) with an ``availableNow`` trigger, waits
-    for the drain to finish, and returns the materialized table.
+    for the drain to finish, and returns the materialized table, a temp
+    view named ``query_name`` that the caller drops when done.  A
+    ``timeout_sec`` that is not positive raises ``ValueError`` before
+    the query starts; if the drain times out or fails, the query is
+    stopped and the view dropped before the error propagates.
     """
+    if not timeout_sec > 0:
+        raise ValueError(f"timeout_sec must be > 0, got {timeout_sec!r}")
+    spark = sdf.sparkSession
     query = (
         sdf.writeStream.format("memory")
         .queryName(query_name)
@@ -97,6 +104,9 @@ def run_available_now(
                 f"streaming query {query_name!r} did not drain in "
                 f"{timeout_sec}s"
             )
-    finally:
+    except BaseException:
         query.stop()
-    return sdf.sparkSession.table(query_name)
+        spark.catalog.dropTempView(query_name)
+        raise
+    query.stop()
+    return spark.table(query_name)

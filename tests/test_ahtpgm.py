@@ -67,6 +67,32 @@ def test_graph_requires_one_of_mu_or_density(setup):
         CorrelationGraph.from_nmi(nmi, mu=0.5, density=0.5)
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"density": 1.5},
+        {"density": -0.5},
+        {"density": float("nan")},
+        {"mu": 1.01},
+        {"mu": -0.1},
+        {"mu": float("nan")},
+    ],
+)
+def test_graph_rejects_out_of_range(setup, kw):
+    _, nmi = setup
+    with pytest.raises(ValueError, match=next(iter(kw))):
+        CorrelationGraph.from_nmi(nmi, **kw)
+
+
+def test_graph_accepts_bounds(setup):
+    _, nmi = setup
+    assert CorrelationGraph.from_nmi(nmi, density=0.0).edges == set()
+    every_pair = set(mi_mod.pair_scores(nmi))
+    assert CorrelationGraph.from_nmi(nmi, density=1.0).edges == every_pair
+    assert CorrelationGraph.from_nmi(nmi, mu=0.0).edges == every_pair
+    CorrelationGraph.from_nmi(nmi, mu=1.0)
+
+
 def test_self_edges_implicit(setup):
     _, nmi = setup
     g = CorrelationGraph.from_nmi(nmi, density=1.0)

@@ -12,6 +12,8 @@ from repro.core.distributed import mine_distributed
 from repro.core.htpgm import MiningConfig, mine, mine_variant
 from repro.core.seqdb import SequenceDatabase
 
+from .util import pairs_checked
+
 VARIANTS = ("noprune", "apriori", "trans", "all")
 
 
@@ -53,9 +55,23 @@ def _same(got, expected):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(db=databases(), cfg=configs)
 def test_driver_variants_and_hdfs_agree(db, cfg):
+    """The four pruning variants return H-DFS's patterns and differ only
+    in the work pruning saves: admitting fewer candidates checks fewer
+    instance pairs, and every kept embedding realizes a kept tuple,
+    whose relations are green at L2 (Lemma 6), so all variants keep the
+    same embeddings."""
     expected = mine_hdfs(db, cfg)
-    for variant in VARIANTS:
-        _same(mine_variant(db, cfg, variant), expected)
+    runs = {v: mine_variant(db, cfg, v) for v in VARIANTS}
+    for r in runs.values():
+        _same(r, expected)
+    pairs = {v: pairs_checked(r) for v, r in runs.items()}
+    assert pairs["all"] <= pairs["trans"] <= pairs["noprune"]
+    assert pairs["all"] <= pairs["apriori"] <= pairs["noprune"]
+    kept = [
+        {k: n for k, n in r.stats.items() if k.startswith("embeddings_kept_l")}
+        for r in runs.values()
+    ]
+    assert all(k == kept[0] for k in kept)
 
 
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)

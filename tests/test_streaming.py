@@ -105,3 +105,23 @@ def test_windowed_symbolize_custom_threshold(spark, tmp_path):
         "stream_syms_thr",
     ).toPandas()
     assert list(out["symbol"]) == ["LO"]
+
+
+@pytest.mark.parametrize("timeout_sec", [0, -1, float("nan")])
+def test_run_available_now_rejects_bad_timeout(spark, tmp_path, timeout_sec):
+    syms = windowed_symbolize(
+        read_reading_stream(spark, _write_csv(tmp_path, _rows())), slot_seconds=SLOT
+    )
+    with pytest.raises(ValueError, match="timeout_sec"):
+        run_available_now(syms, "stream_syms_bad_timeout", timeout_sec=timeout_sec)
+    assert spark.streams.active == []
+
+
+def test_run_available_now_releases_view_on_timeout(spark, tmp_path):
+    syms = windowed_symbolize(
+        read_reading_stream(spark, _write_csv(tmp_path, _rows())), slot_seconds=SLOT
+    )
+    with pytest.raises(TimeoutError):
+        run_available_now(syms, "stream_syms_timeout", timeout_sec=0.001)
+    assert "stream_syms_timeout" not in {t.name for t in spark.catalog.listTables()}
+    assert spark.streams.active == []

@@ -1,4 +1,5 @@
-"""Shared test helpers: tiny handcrafted and randomized databases."""
+"""Shared test helpers: tiny handcrafted and randomized databases, and
+a reader for the miners' per-level counters."""
 import random
 
 from repro.core.seqdb import SequenceDatabase
@@ -60,3 +61,8 @@ BAD_ROWS = [
     ([(0, "A", 5, 1), (0, "B", 6, 7)], "start must be < end"),
     ([(0, "A", 0, 1), (0, None, 2, 3)], "event is null"),
 ]
+
+
+def pairs_checked(result) -> int:
+    """The instance pairs the miner examined, summed over levels."""
+    return sum(v for k, v in result.stats.items() if k.startswith("pairs_checked_l"))
