@@ -84,20 +84,12 @@ def mine_approx(
 
 
 def _restrict_db(db: SequenceDatabase, variables: set[str]) -> SequenceDatabase:
-    """Drop events of uncorrelated variables (Alg. 2 lines 7-8).
-
-    Cheap view-style restriction: bitmaps are shared, per-sequence dicts
-    are filtered copies.
-    """
-    keep = {e for e in db.bitmaps if event_var(e) in variables}
-    if len(keep) == len(db.bitmaps):
+    """Drop events of uncorrelated variables (Alg. 2 lines 7-8): the
+    database's instance table, narrowed by a row mask on event rank."""
+    keep = {e for e in db.events if event_var(e) in variables}
+    if len(keep) == len(db.events):
         return db
-    sequences = [
-        {e: insts for e, insts in seq.items() if e in keep}
-        for seq in db.sequences
-    ]
-    bitmaps = {e: db.bitmaps[e] for e in keep}
-    return SequenceDatabase(n_seq=db.n_seq, sequences=sequences, bitmaps=bitmaps)
+    return SequenceDatabase(db.table.restrict(keep))
 
 
 def accuracy(approx: MiningResult, exact: MiningResult) -> float:

@@ -1,10 +1,16 @@
-"""Collect a small Spark result to the driver through Arrow."""
+"""Collect a small Spark result to the driver through Arrow, and name
+the Spark jobs that do it."""
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
+from contextlib import contextmanager
 
 import pandas as pd
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, SparkSession
+
+#: The local property behind ``SparkContext.setJobDescription``.
+_DESCRIPTION = "spark.job.description"
 
 
 def arrow_collect(df: DataFrame) -> pd.DataFrame:
@@ -25,3 +31,18 @@ def arrow_collect(df: DataFrame) -> pd.DataFrame:
             category=UserWarning,
         )
         return df.toPandas()
+
+
+@contextmanager
+def job_description(spark: SparkSession, description: str) -> Iterator[None]:
+    """Describe the Spark jobs this thread starts inside the block as
+    ``description`` (``layer[.level]``), then restore the caller's
+    description, also when the block raises.  The job group is left
+    alone."""
+    sc = spark.sparkContext
+    caller = sc.getLocalProperty(_DESCRIPTION)
+    sc.setLocalProperty(_DESCRIPTION, description)
+    try:
+        yield
+    finally:
+        sc.setLocalProperty(_DESCRIPTION, caller)

@@ -31,7 +31,10 @@ support is the exact sum of the per-partition counts and the driver
 adds them up: no ``countDistinct`` and no further shuffle.  The
 sequence count is the largest ``max(seq_id) + 1``, as in
 :meth:`repro.core.seqdb.SequenceDatabase.from_rows`, so empty sequences
-inside the id range count.  There are no bitmaps here, so
+inside the id range count.  The Spark jobs of the L1 + L2 pass are
+described as ``distributed.l12`` and those of level k as
+``distributed.l{k}``; the caller's job description is restored after
+each.  There are no bitmaps here, so
 ``prune_apriori`` (Lemmas 2/3) gates nothing.  Results are identical to
 the driver miner (tested).
 """
@@ -42,7 +45,7 @@ from collections import Counter
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from .collect import arrow_collect
+from .collect import arrow_collect, job_description
 from .enumerate import InstanceTable, extend
 from .htpgm import Candidate, Count, MiningConfig, Node, mine_levels
 from .model import EventId, MiningResult
@@ -167,7 +170,10 @@ def _partitioned_count(
             plan.reverse()
             counts = {}
             partials = _level_k_partial_supports(parts, plan, candidates, cfg)
-            for idx, rels, supp in _rows(partials):
+            k = len(candidates[0][0])
+            with job_description(parts.sparkSession, f"distributed.l{k}"):
+                rows = _rows(partials)
+            for idx, rels, supp in rows:
                 node = candidates[idx][0]
                 counts.setdefault(node, Counter())[tuple(rels.split(","))] += supp
         level, green = {}, {}
@@ -200,7 +206,9 @@ def mine_distributed(
         partials = level12_partial_supports(
             parts, epsilon=cfg.epsilon, d_o=cfg.d_o, t_max=cfg.t_max
         )
-        for ei, ej, rel, supp in _rows(partials):
+        with job_description(spark, "distributed.l12"):
+            rows = _rows(partials)
+        for ei, ej, rel, supp in rows:
             if ei is None:
                 n = max(n, supp)
             elif ej is None:

@@ -26,7 +26,10 @@ made total and deterministic with the key ``(start, -end, event_id)``:
 a set of sequences in CSR form: sorted ``start``/``end`` arrays grouped
 by event rank and sequence, with one offset per non-empty
 ``(event, sequence)`` slot.  Event ranks follow sorted event ids, so
-comparing ranks in the order key compares ids.  A level's
+comparing ranks in the order key compares ids.  A
+:class:`repro.core.seqdb.SequenceDatabase` builds its table once from
+the D_SEQ columns; A-HTPGM narrows it to the correlated events with
+:meth:`InstanceTable.restrict`, a row mask on event rank.  A level's
 embeddings are an :class:`Embeddings`: per row a sequence, the start
 and end of each of its ``k`` instances, and one integer code naming
 its relation tuple; each node owns a contiguous row range.
@@ -173,20 +176,28 @@ class InstanceTable:
     offsets: np.ndarray
 
     @classmethod
-    def from_columns(cls, seq_id, event, start, end) -> "InstanceTable":
+    def from_columns(
+        cls, seq_id, event, start, end, n_seq: int | None = None
+    ) -> "InstanceTable":
         """Build from equal-length D_SEQ columns (any order, rows
-        already checked); sequence ids need not be dense."""
-        seq_ids, seq = np.unique(np.asarray(seq_id), return_inverse=True)
+        already checked).  With ``n_seq`` the sequence ids are
+        ``0 .. n_seq - 1`` and kept as they are; without it they need
+        not be dense and are numbered in sorted order."""
+        if n_seq is None:
+            seq_ids, seq = np.unique(np.asarray(seq_id), return_inverse=True)
+            n_seq = len(seq_ids)
+        else:
+            seq = np.asarray(seq_id, dtype=np.int64)
         events, rank = np.unique(np.asarray(event, dtype=object), return_inverse=True)
         start = np.asarray(start, dtype=np.int64)
         end = np.asarray(end, dtype=np.int64)
-        key = rank.astype(np.int64) * len(seq_ids) + seq
+        key = rank.astype(np.int64) * n_seq + seq
         order = np.lexsort((-end, start, key))
         key = key[order]
         slots, first = np.unique(key, return_index=True)
         return cls(
             events=events.tolist(),
-            n_seq=len(seq_ids),
+            n_seq=n_seq,
             seq=seq[order],
             start=start[order],
             end=end[order],
@@ -194,19 +205,26 @@ class InstanceTable:
             offsets=np.append(first, len(key)),
         )
 
-    @classmethod
-    def from_sequences(
-        cls, sequences: Sequence[dict[EventId, list[Instance]]]
-    ) -> "InstanceTable":
-        """Build from per-sequence ``{event: instances}`` maps."""
-        cols: tuple[list, list, list, list] = ([], [], [], [])
-        for sid, seq in enumerate(sequences):
-            for ev, insts in seq.items():
-                cols[0].extend([sid] * len(insts))
-                cols[1].extend([ev] * len(insts))
-                cols[2].extend(s for s, _ in insts)
-                cols[3].extend(e for _, e in insts)
-        return cls.from_columns(*cols)
+    def restrict(self, events: Collection[EventId]) -> "InstanceTable":
+        """The table of the instances of ``events`` alone: a row mask on
+        event rank, with the kept ranks renumbered in order.  Equal to
+        :meth:`from_columns` over the kept rows, with this ``n_seq``."""
+        keep = np.array([ev in events for ev in self.events], dtype=bool)
+        slot_rank = self.slots // max(self.n_seq, 1)
+        # Moving a slot from rank r to rank r' moves its key by (r' - r) * n_seq.
+        shift = (np.cumsum(keep) - 1 - np.arange(len(keep)))[slot_rank] * self.n_seq
+        slot_keep = keep[slot_rank]
+        sizes = np.diff(self.offsets)
+        rows = np.repeat(slot_keep, sizes)
+        return InstanceTable(
+            events=[ev for ev, k in zip(self.events, keep.tolist()) if k],
+            n_seq=self.n_seq,
+            seq=self.seq[rows],
+            start=self.start[rows],
+            end=self.end[rows],
+            slots=(self.slots + shift)[slot_keep],
+            offsets=np.append(0, np.cumsum(sizes[slot_keep])),
+        )
 
     def supports(self) -> dict[EventId, int]:
         """The number of sequences holding each event."""

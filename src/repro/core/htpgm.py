@@ -17,7 +17,9 @@ both run it:
   of step 3.2.  Without it every frequent event is tried, unrestricted.
 * With Apriori pruning (Lemmas 2/3) a candidate is counted only if the
   support and confidence of its event combination, from the ANDed
-  bitmaps, pass (σ, δ).
+  bitmaps, pass (σ, δ).  The gate runs once per level, over every
+  candidate the other rules admit, through the database's batched
+  :meth:`repro.core.seqdb.SequenceDatabase.group_supports`.
 * A node keeps the relation tuples that pass (σ, δ).  Nodes that keep
   none ("brown" nodes) never seed deeper levels — sound by
   pattern-level Apriori (any sub-pattern of a frequent pattern is
@@ -28,11 +30,12 @@ as a function.  The driver's is :func:`_count_embeddings`: HPG nodes
 store the embeddings of their kept patterns, as Fig. 4's nodes store
 instance lists, and each level extends its prefixes' embeddings by one
 event with the columnar kernel :func:`repro.core.enumerate.extend`, one
-call per level; the distributed miner runs the same kernel per
-partition.  The four pruning configurations of the Figs. 6–7 ablation
-map to ``prune_apriori`` / ``prune_trans`` and differ only in the
-candidates the loop admits; all four count with the same function and
-return identical pattern sets (regression-tested).
+call per level, over the instance table the database built once; the
+distributed miner runs the same kernel per partition.  The four
+pruning configurations of the Figs. 6–7 ablation map to
+``prune_apriori`` / ``prune_trans`` and differ only in the candidates
+the loop admits; all four count with the same function and return
+identical pattern sets (regression-tested).
 
 Besides the per-level records of :class:`repro.core.model.MiningResult`,
 ``stats`` holds the run's counters: ``candidates_l2``,
@@ -46,8 +49,11 @@ from __future__ import annotations
 import time
 from collections.abc import Callable, Collection
 from dataclasses import dataclass, replace
+from itertools import compress
 
-from .enumerate import InstanceTable, Node, Supports, extend
+import numpy as np
+
+from .enumerate import Node, Supports, extend
 from .model import EventId, MiningResult, min_support
 from .relations import RELATIONS
 from .seqdb import SequenceDatabase
@@ -117,7 +123,7 @@ def mine(
         db.event_supports(),
         cfg,
         _count_embeddings(db, cfg),
-        group_support=db.group_support,
+        group_supports=db.group_supports,
         edge_filter=edge_filter,
     )
 
@@ -128,7 +134,7 @@ def mine_levels(
     cfg: MiningConfig,
     count: Count,
     *,
-    group_support: Callable[[Node], int] | None = None,
+    group_supports: Callable[[list[Node]], np.ndarray] | None = None,
     edge_filter: Callable[[EventId, EventId], bool] | None = None,
 ) -> MiningResult:
     """The level-wise HPG walk over ``n`` sequences with event ``supports``.
@@ -140,10 +146,11 @@ def mine_levels(
     where ``keep(node, tuple_supports)`` (the σ/δ filter) is non-empty,
     mapped to that result, and may add counters of its own to ``stats``;
     the loop records each level's wall time as ``seconds_l{k}``.
-    ``group_support(node)``, when given, is the number of sequences
-    holding every event of ``node``; with ``cfg.prune_apriori`` it gates
-    the candidates by Lemmas 2/3.  ``edge_filter`` gates the L2 pairs,
-    as in :func:`mine`.
+    ``group_supports(nodes)``, when given, is the number of sequences
+    holding every event of each node, as an array; with
+    ``cfg.prune_apriori`` it gates the candidates by Lemmas 2/3, one
+    call per level over the candidates the other rules admit.
+    ``edge_filter`` gates the L2 pairs, as in :func:`mine`.
     """
     ms = min_support(cfg.sigma, n)
     one_freq = {e: s for e, s in supports.items() if s >= ms}
@@ -184,13 +191,15 @@ def mine_levels(
                         continue  # some (E_i, E_k) is not a green L2 node
                 else:
                     allowed_last = [RELATIONS] * len(prefix)
-                if (
-                    cfg.prune_apriori
-                    and group_support is not None
-                    and not frequent(node, group_support(node))
-                ):
-                    continue  # Lemmas 2/3
                 candidates.append((node, allowed_last))
+        if cfg.prune_apriori and group_supports is not None and candidates:
+            # Lemmas 2/3: the event combination's support and confidence
+            # pass (σ, δ), for the whole level at once
+            nodes = [node for node, _ in candidates]
+            supp = group_supports(nodes)
+            top = np.array([max(one_freq[e] for e in node) for node in nodes])
+            passed = (supp >= ms) & (supp / top >= cfg.delta)
+            candidates = list(compress(candidates, passed.tolist()))
         stats["enumerated_nodes"] += len(candidates)
         level = count(candidates, keep, stats)
         result.node_counts[k] = len(level)
@@ -223,7 +232,7 @@ def _count_embeddings(db: SequenceDatabase, cfg: MiningConfig) -> Count:
     ``embeddings_kept_l{k}`` in ``stats`` for every counted level, 0 for
     a level without candidates.
     """
-    table = InstanceTable.from_sequences(db.sequences)
+    table = db.table
     embs = table.singletons()
 
     def count(candidates, keep, stats):

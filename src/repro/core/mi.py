@@ -4,10 +4,12 @@ Entropy, conditional entropy, MI and *normalized* MI (NMI, Eq. 10 —
 asymmetric: ``NMI(X;Y) = I(X;Y) / H(X)``) between symbolic time
 series, computed from slot-aligned joint symbol counts.  The joint
 counts come from one scan of D_SYB, as in the paper's complexity
-analysis: the symbols are collected to the driver once through Arrow,
-coded as small integers per variable in a slot × variable matrix, and
-counted with one ``np.bincount`` per variable pair.  Each pair's dense
-contingency table is then reduced to NMI in numpy.
+analysis: the symbols are collected to the driver once as an Arrow
+table, its columns coded as integers in Arrow and numpy (no Python
+object per row), checked on those codes, placed per variable in a
+slot × variable matrix, and counted with one ``np.bincount`` per
+variable pair.  Each pair's block of counts is then reduced to NMI as
+one dense contingency table in numpy.
 
 Also here: the correlation graph (Def. 5.5), the density-driven choice
 of the μ threshold (Def. 5.6), and the Theorem 1 confidence lower
@@ -23,9 +25,11 @@ import math
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 from pyspark.sql import DataFrame
 
-from .collect import arrow_collect
+from .collect import job_description
 from .symbolize import SYMBOLS_COLUMNS
 
 #: Columns of :func:`joint_symbol_counts`.
@@ -66,17 +70,16 @@ def nmi_from_joint(joint: pd.DataFrame | np.ndarray) -> tuple[float, float]:
     return (mi / hx if hx > 0 else 0.0, mi / hy if hy > 0 else 0.0)
 
 
-def _check_dsyb(pdf: pd.DataFrame) -> None:
-    """Raise ``ValueError`` unless every row has a ``var``, ``t`` and
-    ``symbol`` and no ``(var, t)`` occurs twice."""
-    for col in SYMBOLS_COLUMNS:
-        if pdf[col].isna().any():
-            row = tuple(pdf[pdf[col].isna()].iloc[0])
-            raise ValueError(f"D_SYB row {row}: null {col}")
-    dup = pdf.duplicated(["var", "t"], keep=False)
-    if dup.any():
-        row = tuple(pdf[dup].iloc[0])
-        raise ValueError(f"D_SYB row {row}: duplicate (var, t)")
+def _dsyb_row(tbl: pa.Table, i: int) -> tuple:
+    """Row ``i`` of a collected D_SYB, as an error message shows it."""
+    return tuple(tbl.to_pandas().iloc[i])
+
+
+def _codes(col: pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:
+    """``(codes, values)``: the column's distinct values, sorted, and
+    each row's index into them."""
+    values = pa.array(sorted(pc.unique(col).to_pylist()), type=col.type)
+    return pc.index_in(col, value_set=values).to_numpy(), values.to_numpy(False)
 
 
 def joint_symbol_counts(symbols: DataFrame) -> pd.DataFrame:
@@ -84,22 +87,43 @@ def joint_symbol_counts(symbols: DataFrame) -> pd.DataFrame:
 
     Input ``(var, t, symbol)``; output pandas frame
     ``(var_x, var_y, sym_x, sym_y, cnt)`` for ``var_x < var_y``, one row
-    per symbol pair that co-occurs in at least one slot.  D_SYB is
-    collected once through Arrow and checked: a null ``var``, ``t`` or
-    ``symbol``, or a ``(var, t)`` that occurs twice, raises
-    ``ValueError``.  Each variable's symbols are coded ``0..n_v - 1``
-    (sorted) in a slot × variable matrix, −1 where the variable has no
-    reading; a pair's counts are one ``np.bincount`` of
-    ``code_x * n_y + code_y`` over the slots where both are present.
+    per symbol pair that co-occurs in at least one slot.  The rows come
+    grouped by pair in ``(var_x, var_y)`` order, each pair's rows in
+    ``(sym_x, sym_y)`` order.
 
-    The driver holds D_SYB once (the collected frame plus the code
-    matrix), the same bound the driver miner accepts for D_SEQ.
+    D_SYB is collected once as an Arrow table, in a Spark job described
+    as ``mi.joint_counts`` (a frame with other columns is narrowed to
+    these first), and its columns are coded as integers in
+    Arrow and numpy: ``var`` and ``symbol`` by their rank among the
+    sorted distinct values, ``t`` by slot.  The checks run on those
+    codes: a null ``var``, ``t`` or ``symbol``, or a ``(var, t)`` that
+    occurs twice, raises ``ValueError``.  Each variable's symbols are
+    coded ``0..n_v - 1`` (sorted) in a slot × variable matrix, −1 where
+    the variable has no reading; a pair's counts are one
+    ``np.bincount`` of ``code_x * n_y + code_y`` over the slots where
+    both are present.
+
+    The driver holds D_SYB once (the Arrow table plus the code matrix),
+    the same bound the driver miner accepts for D_SEQ.
     """
-    pdf = arrow_collect(symbols.select(*SYMBOLS_COLUMNS))
-    _check_dsyb(pdf)
-    var, names = pd.factorize(pdf["var"], sort=True)
-    slot, slots = pd.factorize(pdf["t"])
-    sym, alphabet = pd.factorize(pdf["symbol"], sort=True)
+    # A frame of exactly these columns is collected as it is: Spark then
+    # plans its query once, not on every call.
+    if tuple(symbols.columns) != SYMBOLS_COLUMNS:
+        symbols = symbols.select(*SYMBOLS_COLUMNS)
+    with job_description(symbols.sparkSession, "mi.joint_counts"):
+        tbl = symbols.toArrow()
+    for name in SYMBOLS_COLUMNS:
+        if tbl.column(name).null_count:
+            i = int(np.argmax(pc.is_null(tbl.column(name)).to_numpy(False)))
+            raise ValueError(f"D_SYB row {_dsyb_row(tbl, i)}: null {name}")
+    var, names = _codes(tbl.column("var"))
+    sym, alphabet = _codes(tbl.column("symbol"))
+    slot, slots = pd.factorize(tbl.column("t").to_numpy())
+    cell = slot * len(names) + var
+    dup = np.bincount(cell, minlength=len(slots) * len(names))[cell] > 1
+    if dup.any():
+        row = _dsyb_row(tbl, int(np.argmax(dup)))
+        raise ValueError(f"D_SYB row {row}: duplicate (var, t)")
     # seen[v, s]: variable v takes symbol s; its local code is the rank
     # of s among the symbols v takes.
     seen = np.zeros((len(names), len(alphabet)), dtype=bool)
@@ -131,7 +155,6 @@ def joint_symbol_counts(symbols: DataFrame) -> pd.DataFrame:
     if not parts:
         return pd.DataFrame(columns=JOINT_COLUMNS)
     vx, vy, sx, sy, cnt = np.concatenate(parts, axis=1)
-    names, alphabet = np.asarray(names), np.asarray(alphabet)
     return pd.DataFrame(
         {
             "var_x": names[vx],
@@ -148,18 +171,27 @@ def nmi_matrix(symbols: DataFrame) -> pd.DataFrame:
 
     Returns a pandas frame indexed by ``(var_x, var_y)`` for
     ``var_x != var_y`` with column ``nmi`` = NMI(X;Y) = I/H(X).  Pairs
-    that share no slot have no row.
+    that share no slot have no row.  Each pair's rows of
+    :func:`joint_symbol_counts`, one contiguous block, are one dense
+    contingency table over the symbols that occur in them.
     """
     counts = joint_symbol_counts(symbols)
+    vx, vy = counts["var_x"].to_numpy(), counts["var_y"].to_numpy()
+    sx = pd.factorize(counts["sym_x"], sort=True)[0]
+    sy = pd.factorize(counts["sym_y"], sort=True)[0]
+    cnt = counts["cnt"].to_numpy()
+    new_pair = np.ones(len(counts), dtype=bool)
+    new_pair[1:] = (vx[1:] != vx[:-1]) | (vy[1:] != vy[:-1])
+    bounds = np.append(np.flatnonzero(new_pair), len(counts)).tolist()
     rows = []
-    for (vx, vy), grp in counts.groupby(["var_x", "var_y"]):
-        ix, sx = pd.factorize(grp["sym_x"], sort=True)
-        iy, sy = pd.factorize(grp["sym_y"], sort=True)
-        table = np.zeros((len(sx), len(sy)))
-        table[ix, iy] = grp["cnt"].to_numpy()
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        ux, ix = np.unique(sx[a:b], return_inverse=True)
+        uy, iy = np.unique(sy[a:b], return_inverse=True)
+        table = np.zeros((len(ux), len(uy)))
+        table[ix, iy] = cnt[a:b]
         n_xy, n_yx = nmi_from_joint(table)
-        rows.append((vx, vy, n_xy))
-        rows.append((vy, vx, n_yx))
+        rows.append((vx[a], vy[a], n_xy))
+        rows.append((vy[a], vx[a], n_yx))
     return pd.DataFrame(rows, columns=["var_x", "var_y", "nmi"]).set_index(
         ["var_x", "var_y"]
     )
@@ -172,9 +204,8 @@ def pair_scores(nmi: pd.DataFrame) -> dict[frozenset, float]:
     so the undirected score is the min of the two directed NMIs.
     """
     scores: dict[frozenset, float] = {}
-    for (vx, vy), row in nmi.iterrows():
+    for (vx, vy), v in zip(nmi.index, nmi["nmi"].tolist()):
         key = frozenset((vx, vy))
-        v = float(row["nmi"])
         scores[key] = min(scores.get(key, v), v)
     return scores
 

@@ -2,72 +2,143 @@
 
 ``SequenceDatabase`` is the in-memory mining substrate built from the
 Spark ``D_SEQ`` DataFrame produced by :mod:`repro.core.sequences`.  It
-holds, per sequence, the instance lists grouped by event, and — the
-paper's key data structure — one boolean *bitmap* per event marking the
-sequences in which the event occurs, enabling O(|D_SEQ|) support and
-support-of-combination computations via vectorized AND/popcount.
+holds the instances once, in the CSR
+:class:`repro.core.enumerate.InstanceTable` the miners extend, built
+from the D_SEQ columns in array operations.  From that table it
+derives the paper's key data structure — one boolean *bitmap* per
+event marking the sequences in which the event occurs, for O(|D_SEQ|)
+support and support-of-combination computations by vectorized
+AND/popcount — and the per-sequence instance lists the baselines walk.
+A database built from D_SEQ builds the lists at once; one made from a
+table (A-HTPGM's restriction) derives the bitmaps and lists on first
+use only.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import pandas as pd
 
+from .enumerate import InstanceTable, Node
 from .model import EventId, Instance
 
 #: Expected schema of a D_SEQ DataFrame (Spark or pandas).
 DSEQ_COLUMNS = ("seq_id", "event", "start", "end")
+#: Set bits of every byte value.
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+#: Bytes of gathered bitmaps per batch of :meth:`SequenceDatabase.group_supports`.
+_GATE_BYTES = 1 << 22
+
+
+def _is_null(value) -> bool:
+    return pd.api.types.is_scalar(value) and pd.isna(value)
+
+
+def _is_integer(value) -> bool:
+    """An integer, or a float without a fractional part."""
+    if isinstance(value, (int, np.integer)):
+        return True
+    return isinstance(value, (float, np.floating)) and float(value).is_integer()
 
 
 def check_dseq_row(seq_id, event, start, end) -> None:
     """Raise ``ValueError`` unless ``(seq_id, event, start, end)`` is a
-    D_SEQ row: ``seq_id`` a non-negative integer, ``event`` not null and
-    ``start < end``."""
+    D_SEQ row: ``seq_id``, ``start`` and ``end`` integers (an integral
+    float counts, as a column with a null holds floats), ``seq_id`` not
+    negative, ``event`` not null and ``start < end``."""
     row = (seq_id, event, start, end)
-    if not isinstance(seq_id, (int, np.integer)) or seq_id < 0:
+    if _is_null(seq_id):
+        raise ValueError(f"D_SEQ row {row}: seq_id is null")
+    if not _is_integer(seq_id) or seq_id < 0:
         raise ValueError(f"D_SEQ row {row}: seq_id must be a non-negative integer")
     if pd.isna(event):
         raise ValueError(f"D_SEQ row {row}: event is null")
+    for name, value in (("start", start), ("end", end)):
+        if _is_null(value):
+            raise ValueError(f"D_SEQ row {row}: {name} is null")
+        if not _is_integer(value):
+            raise ValueError(f"D_SEQ row {row}: {name} must be an integer")
     if not start < end:
         raise ValueError(f"D_SEQ row {row}: start must be < end")
+
+
+def _not_integers(col: pd.Series) -> np.ndarray:
+    """Per value of ``col``: not an integer, as :func:`check_dseq_row`
+    reads ``seq_id``, ``start`` and ``end``."""
+    if col.dtype.kind in "iu":
+        return np.zeros(len(col), dtype=bool)
+    if col.dtype.kind == "f":
+        v = col.to_numpy()
+        return ~np.isfinite(v) | (np.trunc(v) != v)
+    return col.map(lambda v: not _is_integer(v)).to_numpy(bool)
 
 
 def check_dseq_frame(pdf: pd.DataFrame) -> None:
     """:func:`check_dseq_row` over every row of a D_SEQ frame, vectorized:
     raise its ``ValueError`` for the first row that fails."""
-    seq_id = pdf["seq_id"]
-    bad = pdf["event"].isna().to_numpy() | ~(pdf["start"] < pdf["end"]).to_numpy()
-    if seq_id.dtype.kind in "iu":
-        bad |= (seq_id < 0).to_numpy()
-    else:  # a float column (it holds a null) or objects
-        bad |= seq_id.map(
-            lambda v: not isinstance(v, (int, np.integer)) or v < 0
-        ).to_numpy(bool)
+    ints = ~np.logical_or.reduce(
+        [_not_integers(pdf[c]) for c in ("seq_id", "start", "end")]
+    )
+    seq_id, start, end = (
+        pdf[c].to_numpy()[ints].astype(np.int64) for c in ("seq_id", "start", "end")
+    )
+    bad = ~ints | pdf["event"].isna().to_numpy()
+    bad[ints] |= (seq_id < 0) | ~(start < end)
     if bad.any():
         i = int(np.argmax(bad))
         check_dseq_row(*(pdf[c].iloc[i : i + 1].tolist()[0] for c in DSEQ_COLUMNS))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SequenceDatabase:
-    """Temporal sequence database D_SEQ (paper Def. 3.10) + bitmaps."""
+    """Temporal sequence database D_SEQ (paper Def. 3.10) + bitmaps.
 
-    n_seq: int
-    #: per sequence: event id -> instances sorted by (start, -end)
-    sequences: list[dict[EventId, list[Instance]]]
-    #: event id -> bool bitmap of length n_seq
-    bitmaps: dict[EventId, np.ndarray]
+    Sequence ``i`` of ``table`` is the D_SEQ sequence with id ``i``, so
+    ``table.n_seq`` counts the empty sequences too.
+    """
+
+    table: InstanceTable
+
+    @property
+    def n_seq(self) -> int:
+        return self.table.n_seq
 
     @property
     def events(self) -> list[EventId]:
-        return sorted(self.bitmaps)
+        return self.table.events
+
+    @cached_property
+    def _bitmap_matrix(self) -> np.ndarray:
+        """Row ``r``: the bitmap of ``events[r]``, of length ``n_seq``."""
+        matrix = np.zeros((len(self.events), self.n_seq), dtype=bool)
+        matrix.flat[self.table.slots] = True
+        return matrix
+
+    @cached_property
+    def bitmaps(self) -> dict[EventId, np.ndarray]:
+        """Event id -> bool bitmap of length ``n_seq``."""
+        return dict(zip(self.events, self._bitmap_matrix))
+
+    @cached_property
+    def sequences(self) -> list[dict[EventId, list[Instance]]]:
+        """Per sequence: event id -> instances sorted by (start, -end)."""
+        t = self.table
+        seqs: list[dict[EventId, list[Instance]]] = [{} for _ in range(t.n_seq)]
+        pairs = list(zip(t.start.tolist(), t.end.tolist()))
+        bounds = t.offsets.tolist()
+        for j, slot in enumerate(t.slots.tolist()):
+            rank, sid = divmod(slot, t.n_seq)
+            seqs[sid][t.events[rank]] = pairs[bounds[j] : bounds[j + 1]]
+        return seqs
 
     def support(self, event: EventId) -> int:
         return int(self.bitmaps[event].sum())
 
     def event_supports(self) -> dict[EventId, int]:
-        return {e: self.support(e) for e in self.events}
+        return self.table.supports()
 
     def group_bitmap(self, events: tuple[EventId, ...]) -> np.ndarray:
         """AND of the events' bitmaps — sequences containing them all."""
@@ -78,6 +149,26 @@ class SequenceDatabase:
 
     def group_support(self, events: tuple[EventId, ...]) -> int:
         return int(self.group_bitmap(events).sum())
+
+    @cached_property
+    def _packed_bitmaps(self) -> np.ndarray:
+        return np.packbits(self._bitmap_matrix, axis=1)
+
+    def group_supports(self, nodes: Sequence[Node]) -> np.ndarray:
+        """:meth:`group_support` of every node, in one pass per batch:
+        gather the nodes' rows of the packed bitmap matrix, AND-reduce
+        and count the set bits.  The nodes must have one length."""
+        if not nodes:
+            return np.zeros(0, dtype=np.int64)
+        rank = {ev: r for r, ev in enumerate(self.events)}
+        idx = np.array([[rank[ev] for ev in node] for node in nodes])
+        packed = self._packed_bitmaps
+        step = max(1, _GATE_BYTES // max(idx.shape[1] * packed.shape[1], 1))
+        out = np.empty(len(idx), dtype=np.int64)
+        for i in range(0, len(idx), step):
+            anded = np.bitwise_and.reduce(packed[idx[i : i + step]], axis=1)
+            out[i : i + step] = _POPCOUNT[anded].sum(axis=1, dtype=np.int64)
+        return out
 
     @classmethod
     def from_rows(
@@ -94,31 +185,28 @@ class SequenceDatabase:
         rows = list(rows)
         for row in rows:
             check_dseq_row(*row)
-        top = max((r[0] for r in rows), default=-1)
+        return cls._from_columns(*(zip(*rows) if rows else ((),) * 4), n_seq=n_seq)
+
+    @classmethod
+    def from_pandas(cls, pdf: pd.DataFrame, n_seq: int | None = None):
+        """Build from a D_SEQ frame, as :meth:`from_rows` does from its
+        rows; the rows are checked with :func:`check_dseq_frame`."""
+        check_dseq_frame(pdf)
+        columns = (pdf[c].to_numpy() for c in DSEQ_COLUMNS)
+        return cls._from_columns(*columns, n_seq=n_seq)
+
+    @classmethod
+    def _from_columns(cls, seq_id, event, start, end, *, n_seq):
+        seq_id = np.asarray(seq_id, dtype=np.int64)
+        top = int(seq_id.max(initial=-1))
         if n_seq is None:
             n_seq = top + 1
         elif top >= n_seq:
             raise ValueError(f"D_SEQ seq_id {top} is not below n_seq = {n_seq}")
-        sequences: list[dict[EventId, list[Instance]]] = [
-            {} for _ in range(n_seq)
-        ]
-        for seq_id, event, start, end in rows:
-            sequences[seq_id].setdefault(event, []).append((int(start), int(end)))
-        bitmaps: dict[EventId, np.ndarray] = {}
-        for seq_id, seq in enumerate(sequences):
-            for event, insts in seq.items():
-                insts.sort(key=lambda it: (it[0], -it[1]))
-                bm = bitmaps.get(event)
-                if bm is None:
-                    bm = bitmaps[event] = np.zeros(n_seq, dtype=bool)
-                bm[seq_id] = True
-        return cls(n_seq=n_seq, sequences=sequences, bitmaps=bitmaps)
-
-    @classmethod
-    def from_pandas(cls, pdf: pd.DataFrame, n_seq: int | None = None):
-        return cls.from_rows(
-            pdf[list(DSEQ_COLUMNS)].itertuples(index=False, name=None), n_seq
-        )
+        db = cls(InstanceTable.from_columns(seq_id, event, start, end, n_seq=n_seq))
+        # Built with the database, so no baseline's timed run pays for it.
+        _ = db.sequences
+        return db
 
     @classmethod
     def from_spark(cls, dseq_df, n_seq: int | None = None):

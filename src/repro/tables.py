@@ -13,7 +13,9 @@ across the (sigma, delta) grid, how accuracy moves with mu.
 """
 from __future__ import annotations
 
+import gc
 import math
+import statistics
 from typing import Callable
 
 import pandas as pd
@@ -41,6 +43,9 @@ DENSITIES_ACC = (40, 60, 80, 90)
 N_SEQ_COUNTS = 48
 N_SEQ_PERF = 32
 MAX_K = 3
+#: Timed runs per variant and cell of the pruning ablation; with one run
+#: each, two back-to-back runs moved its speedups by up to 0.5x.
+ABLATION_REPEATS = 3
 
 
 def _cfg(supp_pct: int, conf_pct: int, **kw) -> MiningConfig:
@@ -345,18 +350,27 @@ def pruning_ablation(
     n_seq: int = N_SEQ_PERF,
     grid: tuple[tuple[int, int], ...] = ((20, 20), (50, 50), (80, 80)),
 ) -> pd.DataFrame:
-    """Runtimes of the four pruning variants of E-HTPGM."""
+    """Runtimes of the four pruning variants of E-HTPGM: per cell, the
+    median of ``ABLATION_REPEATS`` timed runs of each variant.  The runs
+    go in rounds over all four variants, so a change in machine load
+    falls on each of them alike, and each starts after a full garbage
+    collection."""
     rows = []
     for name in datasets:
         ds = load_dataset(spark, name, n_seq=n_seq)
         for s, c in grid:
-            base = None
-            for variant in ("noprune", "apriori", "trans", "all"):
-                _, secs = time_call(
-                    lambda: mine_variant(ds.db, _cfg(s, c), variant)
-                )
-                if variant == "noprune":
-                    base = secs
+            runs: dict[str, list[float]] = {
+                v: [] for v in ("noprune", "apriori", "trans", "all")
+            }
+            for _ in range(ABLATION_REPEATS):
+                for variant, times in runs.items():
+                    gc.collect()  # no earlier run's garbage is collected in this one
+                    times.append(
+                        time_call(lambda: mine_variant(ds.db, _cfg(s, c), variant))[1]
+                    )
+            base = statistics.median(runs["noprune"])
+            for variant, times in runs.items():
+                secs = statistics.median(times)
                 rows.append(
                     {
                         "dataset": name,

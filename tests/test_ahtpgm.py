@@ -1,4 +1,6 @@
 """Tests for A-HTPGM: correlation-graph pruning and its guarantees."""
+from dataclasses import replace
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -12,6 +14,7 @@ from repro.core.ahtpgm import (
 )
 from repro.core.events import to_instances
 from repro.core.htpgm import MiningConfig, mine
+from repro.core.pipeline import load_dataset
 from repro.core.sequences import split_sequences
 from repro.core.seqdb import SequenceDatabase
 from repro.core.symbolize import threshold_symbolize
@@ -183,3 +186,42 @@ def test_theorem1_lower_bound_holds(setup):
     )
     lb = mi_mod.confidence_lower_bound(sigma, sigma_m, mu, n_x=2)
     assert conf >= lb - 1e-9
+
+
+@pytest.fixture(scope="module")
+def small_city(spark):
+    """Eight SmartCity-shaped days, symbolized as the benchmark does."""
+    ds = load_dataset(spark, "smartcity", n_seq=8)
+    return ds.db, mi_mod.nmi_matrix(ds.symbols)
+
+
+#: (σ, δ, density) -> candidates_l2, candidates_k, enumerated_nodes,
+#: node_counts, patterns, and enumerated_nodes without the Lemma 2/3
+#: gate; recorded while the gate still ran once per candidate.  At
+#: δ = 0.8 the gate removes 78 and 122 candidates.
+PINNED_APPROX = {
+    (0.5, 0.5, 0.4): (400, 5280, 3602, {1: 20, 2: 264, 3: 1672}, 2134, 3602),
+    (0.5, 0.5, 0.6): (529, 8924, 6388, {1: 23, 2: 388, 3: 3191}, 4178, 6390),
+    (0.5, 0.8, 0.4): (400, 1800, 701, {1: 20, 2: 100, 3: 67}, 168, 779),
+    (0.5, 0.8, 0.6): (529, 3108, 1058, {1: 23, 2: 148, 3: 138}, 289, 1180),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_APPROX))
+def test_approx_counters_pinned(small_city, key):
+    """The level-wide Lemma 2/3 gate admits the candidates the
+    per-candidate gate did: A-HTPGM's counters are unchanged."""
+    db, nmi = small_city
+    sigma, delta, density = key
+    cl2, ck, enumerated, nodes, n_patterns, ungated = PINNED_APPROX[key]
+    graph = CorrelationGraph.from_nmi(nmi, density=density)
+    cfg = MiningConfig(sigma=sigma, delta=delta, max_k=3)
+    res = mine_approx(db, graph, cfg)
+    assert res.stats["candidates_l2"] == cl2
+    assert res.stats["candidates_k"] == ck
+    assert res.stats["enumerated_nodes"] == enumerated
+    assert dict(res.node_counts) == nodes
+    assert len(res.patterns) == n_patterns
+    no_gate = mine_approx(db, graph, replace(cfg, prune_apriori=False))
+    assert no_gate.stats["enumerated_nodes"] == ungated
+    assert no_gate.patterns == res.patterns

@@ -221,9 +221,9 @@ def test_mine_distributed_rejects_bad_rows(spark, rows, message):
     PythonException, with no warning that repeats its traceback; the
     cached partitions are released all the same."""
     pdf = pd.DataFrame(rows, columns=["seq_id", "event", "start", "end"])
-    dseq = spark.createDataFrame(
-        pdf, "seq_id long, event string, start long, `end` long"
-    )
+    # Inferred types: a fractional or null start/end reaches the miner
+    # in a double column, as a long column would truncate 1.5 to 1.
+    dseq = spark.createDataFrame(pdf)
     before = _persisted(spark)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -231,6 +231,39 @@ def test_mine_distributed_rejects_bad_rows(spark, rows, message):
             mine_distributed(spark, dseq, MiningConfig(sigma=0.5, delta=0.5))
     assert not [w for w in caught if "reached the error below" in str(w.message)]
     assert _persisted(spark) == before
+
+
+@pytest.mark.parametrize("caller", [None, "caller's job"])
+def test_mine_distributed_describes_its_jobs(spark, monkeypatch, caller):
+    """Each pass's jobs carry the pass's description; the caller's
+    description is back after a run that succeeds and one that raises,
+    and the job group is untouched."""
+    sc = spark.sparkContext
+    seen = []
+    collect = distributed.arrow_collect
+
+    def spy(df):
+        seen.append(sc.getLocalProperty("spark.job.description"))
+        return collect(df)
+
+    monkeypatch.setattr(distributed, "arrow_collect", spy)
+    cfg = MiningConfig(sigma=0.5, delta=0.5, max_k=3)
+    good = _spark_dseq(spark, kitchen_db())
+    bad = spark.createDataFrame(pd.DataFrame(BAD_ROWS[1][0], columns=good.columns))
+    sc.setJobGroup("caller-group", "caller's group")
+    sc.setLocalProperty("spark.job.description", caller)
+    try:
+        mine_distributed(spark, good, cfg)
+        assert seen == ["distributed.l12", "distributed.l3"]
+        assert sc.getLocalProperty("spark.job.description") == caller
+        with pytest.raises(PythonException):
+            mine_distributed(spark, bad, cfg)
+        assert seen[-1] == "distributed.l12"
+        assert sc.getLocalProperty("spark.job.description") == caller
+        assert sc.getLocalProperty("spark.jobGroup.id") == "caller-group"
+    finally:
+        sc.setLocalProperty("spark.job.description", None)
+        sc.setLocalProperty("spark.jobGroup.id", None)
 
 
 def test_mine_distributed_kitchen(spark):

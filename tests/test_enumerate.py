@@ -1,6 +1,8 @@
 """Tests for the shared embedding enumeration."""
 from collections import Counter
+from dataclasses import fields
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +12,7 @@ from repro.core.enumerate import (
     extend,
 )
 from repro.core.relations import RELATIONS
+from repro.core.seqdb import SequenceDatabase
 
 
 def E(**kw):
@@ -89,13 +92,23 @@ def test_t_max_measured_to_last_end():
     assert enumerate_pattern_tuples(inst, ("A", "B"), t_max=19) == set()
 
 
+def _rows(sequences):
+    """The D_SEQ rows of per-sequence ``{event: instances}`` maps."""
+    return [
+        (sid, ev, s, e)
+        for sid, seq in enumerate(sequences)
+        for ev, insts in seq.items()
+        for s, e in insts
+    ]
+
+
 def _extend_supports(sequences, node, allowed=None, **params):
     """Supports of ``node``'s relation tuples in ``sequences``, built by
     :func:`extend` one event at a time, keeping every tuple;
     ``allowed[(i, j)]`` restricts the relation between positions ``i``
     and ``j`` (default: any)."""
     allowed = allowed or {}
-    table = InstanceTable.from_sequences(sequences)
+    table = SequenceDatabase.from_rows(_rows(sequences), n_seq=len(sequences)).table
     embs, supports = table.singletons(), {}
     for j in range(1, len(node)):
         allowed_last = [allowed.get((i, j), RELATIONS) for i in range(j)]
@@ -187,3 +200,26 @@ def test_extend_supports_equal_dfs(seqs, node, epsilon, d_o, t_max):
     for inst in seqs:
         expected.update(enumerate_pattern_tuples(inst, node, **params))
     assert _extend_supports(seqs, node, **params) == dict(expected)
+
+
+def _table(rows, n_seq):
+    return InstanceTable.from_columns(
+        *([row[i] for row in rows] for i in range(4)), n_seq=n_seq
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seqs=_sequences(), events=st.sets(st.sampled_from("ABCD")))
+def test_restricted_table_equals_table_of_kept_rows(seqs, events):
+    """Narrowing a table to some events by its row mask gives the table
+    built from the rows of those events alone, array for array."""
+    rows = _rows(seqs)
+    got = _table(rows, len(seqs)).restrict(events)
+    expected = _table([row for row in rows if row[1] in events], len(seqs))
+    for field in fields(InstanceTable):
+        a, b = getattr(got, field.name), getattr(expected, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype, field.name
+            np.testing.assert_array_equal(a, b, err_msg=field.name)
+        else:
+            assert a == b, field.name

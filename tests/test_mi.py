@@ -245,6 +245,39 @@ def test_joint_symbol_counts_rejects_bad_rows(spark, rows, message):
         mi_mod.joint_symbol_counts(symbols)
 
 
+@pytest.mark.parametrize("caller", [None, "caller's job"])
+def test_joint_counts_describe_their_job(spark, monkeypatch, caller):
+    """The D_SYB collect runs as ``mi.joint_counts``; the caller's
+    description is back after a run that succeeds and one that raises,
+    and the job group is untouched."""
+    sc = spark.sparkContext
+    symbols = spark.createDataFrame(symbols_pandas(), SYB_SCHEMA)
+    seen = []
+    to_arrow = type(symbols).toArrow
+
+    def spy(df):
+        seen.append(sc.getLocalProperty("spark.job.description"))
+        if len(seen) > 1:
+            raise RuntimeError("collect failed")
+        return to_arrow(df)
+
+    monkeypatch.setattr(type(symbols), "toArrow", spy)
+    sc.setJobGroup("caller-group", "caller's group")
+    sc.setLocalProperty("spark.job.description", caller)
+    try:
+        assert len(mi_mod.nmi_matrix(symbols))
+        assert seen == ["mi.joint_counts"]
+        assert sc.getLocalProperty("spark.job.description") == caller
+        with pytest.raises(RuntimeError, match="collect failed"):
+            mi_mod.joint_symbol_counts(symbols)
+        assert seen == ["mi.joint_counts"] * 2
+        assert sc.getLocalProperty("spark.job.description") == caller
+        assert sc.getLocalProperty("spark.jobGroup.id") == "caller-group"
+    finally:
+        sc.setLocalProperty("spark.job.description", None)
+        sc.setLocalProperty("spark.jobGroup.id", None)
+
+
 def _reference_nmi(pdf):
     """Directed NMI from a pandas merge of every variable pair on ``t``."""
     out = {}

@@ -1,8 +1,11 @@
 """Tests for the SequenceDatabase bitmap substrate."""
+import itertools
+
 import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core import seqdb
 from repro.core.seqdb import (
     DSEQ_COLUMNS,
     SequenceDatabase,
@@ -36,6 +39,20 @@ def test_group_bitmap_and_support():
     np.testing.assert_array_equal(
         db.group_bitmap(("K", "M")), np.array([1, 1, 1, 1, 0], dtype=bool)
     )
+
+
+@pytest.mark.parametrize("gate_bytes", [seqdb._GATE_BYTES, 1])
+def test_group_supports_match_group_support(monkeypatch, gate_bytes):
+    """The batched count equals the one-node count, over 70 sequences
+    (bitmaps of 9 packed bytes, the last one partial), in one batch and
+    in one batch per node."""
+    monkeypatch.setattr(seqdb, "_GATE_BYTES", gate_bytes)
+    db = random_db(seed=5, n_seq=70, n_vars=5)
+    for k in (2, 3):
+        nodes = list(itertools.product(db.events, repeat=k))
+        got = db.group_supports(nodes)
+        assert got.tolist() == [db.group_support(node) for node in nodes]
+    assert db.group_supports([]).tolist() == []
 
 
 def test_explicit_n_seq_pads_empty_sequences():
@@ -89,6 +106,14 @@ def test_from_rows_rejects_bad_rows(rows, message):
     pdf = pd.DataFrame(rows, columns=["seq_id", "event", "start", "end"])
     with pytest.raises(ValueError, match=message):
         SequenceDatabase.from_pandas(pdf)
+
+
+def test_integral_float_columns_are_accepted():
+    """A D_SEQ column that held a null arrives as floats; its integral
+    values are read as the integers they are."""
+    db = random_db(seed=2)
+    pdf = db.to_pandas().astype({c: float for c in ("seq_id", "start", "end")})
+    assert SequenceDatabase.from_pandas(pdf, n_seq=db.n_seq).sequences == db.sequences
 
 
 def test_from_rows_rejects_seq_id_beyond_n_seq():

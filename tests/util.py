@@ -60,6 +60,11 @@ BAD_ROWS = [
     ([(0, "A", 0, 1), (-1, "B", 2, 3)], "seq_id must be a non-negative integer"),
     ([(0, "A", 5, 1), (0, "B", 6, 7)], "start must be < end"),
     ([(0, "A", 0, 1), (0, None, 2, 3)], "event is null"),
+    ([(0, "A", 0, 1), (None, "B", 2, 3)], "seq_id is null"),
+    ([(0, "A", 0, 1), (0, "a", None, 3)], "start is null"),
+    ([(0, "A", 0, 1), (0, "B", 1.5, 3)], "start must be an integer"),
+    ([(0, "A", 0, 1), (0, "B", 1, None)], "end is null"),
+    ([(0, "A", 0, 1), (0, "B", 1, 2.5)], "end must be an integer"),
 ]
 
 
