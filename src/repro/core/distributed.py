@@ -18,13 +18,16 @@ work on the executors, partitioned by sequence:
   :func:`repro.core.enumerate.extend` call over every event pair.  The
   level loop takes its L1 and L2 counts from their sums.
 * **Lk pass, one per level** — the level loop derives the level's
-  candidates and the relations each may use; the kept patterns of
-  levels 2..k-1 and the candidates travel to the executors in the task
-  closure.  A ``mapInPandas`` rebuilds the embeddings of those kept
-  patterns in its partition, one ``extend`` call per level, with the
-  same columnar kernel as the driver miner, and emits partial
-  ``(candidate, rels)`` counts of level k.  A level with no candidate
-  runs no pass.
+  candidates as arrays (:class:`repro.core.enumerate.Candidates`); they
+  travel to the executors in the task closure with the green nodes of
+  levels 2..k-1, in the same form, each allowed to the relations of
+  its kept tuples, and the sorted event list, by which each partition
+  ranks its events.  A ``mapInPandas`` rebuilds the embeddings of those
+  green nodes in its partition, one ``extend`` call per level, with
+  the same columnar kernel as the driver miner, and emits partial
+  ``(candidate, rels)`` counts of level k.  The driver sums them and
+  keeps the tuples that pass (σ, δ) with the loop's array filter.  A
+  level with no candidate runs no pass.
 
 Support counts sequences, and no sequence spans two partitions, so a
 support is the exact sum of the per-partition counts and the driver
@@ -41,15 +44,23 @@ the driver miner (tested).
 from __future__ import annotations
 
 from collections import Counter
+from itertools import compress
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from .collect import arrow_collect, job_description
-from .enumerate import InstanceTable, extend
-from .htpgm import Candidate, Count, MiningConfig, Node, mine_levels
+from .enumerate import (
+    ALL_RELATIONS,
+    RELATION_BIT,
+    Candidates,
+    Groups,
+    InstanceTable,
+    extend,
+)
+from .htpgm import Count, MiningConfig, mine_levels
 from .model import EventId, MiningResult
-from .relations import RELATIONS
 from .seqdb import DSEQ_COLUMNS, check_dseq_frame
 
 #: Rows of the L1 + L2 pass.  ``(NULL, NULL, NULL, n)`` carries the
@@ -67,8 +78,9 @@ def partition_sequences(dseq: DataFrame) -> DataFrame:
     return dseq.select(*DSEQ_COLUMNS).repartition(n_parts, "seq_id")
 
 
-def _table(batches) -> tuple[InstanceTable, int] | None:
-    """One partition's rows as an instance table, with its
+def _table(batches, events=None) -> tuple[InstanceTable, int] | None:
+    """One partition's rows as an instance table whose ranks index
+    ``events`` (default: the partition's own events), with its
     ``max(seq_id) + 1``; ``None`` for an empty partition.  A row that
     fails :func:`repro.core.seqdb.check_dseq_row` raises ``ValueError``."""
     frames = [pdf for pdf in batches if not pdf.empty]
@@ -76,7 +88,9 @@ def _table(batches) -> tuple[InstanceTable, int] | None:
         return None
     pdf = pd.concat(frames, ignore_index=True)
     check_dseq_frame(pdf)
-    table = InstanceTable.from_columns(*(pdf[c].to_numpy() for c in DSEQ_COLUMNS))
+    table = InstanceTable.from_columns(
+        *(pdf[c].to_numpy() for c in DSEQ_COLUMNS), events=events
+    )
     return table, int(pdf["seq_id"].max()) + 1
 
 
@@ -90,16 +104,22 @@ def level12_partial_supports(
         if built is None:
             return
         table, n = built
-        pairs = [((e1, e2), [RELATIONS]) for e1 in table.events for e2 in table.events]
-        ext = extend(
-            table, table.singletons(), pairs, epsilon=epsilon, d_o=d_o, t_max=t_max
+        ranks = np.arange(len(table.events))
+        pairs = np.column_stack(
+            (np.repeat(ranks, len(ranks)), np.tile(ranks, len(ranks)))
         )
+        cands = Candidates(pairs[:, 0], pairs, np.full((len(pairs), 1), ALL_RELATIONS))
+        groups = extend(
+            table, table.singletons(), cands, epsilon=epsilon, d_o=d_o, t_max=t_max
+        ).groups
+        ev = table.events
         rows = [(None, None, None, n)]
         rows += [(e, None, None, c) for e, c in table.supports().items()]
         rows += [
-            (e1, e2, r, c)
-            for ((e1, e2), _), tuples in zip(pairs, ext.supports)
-            for (r,), c in tuples.items()
+            (ev[pairs[c, 0]], ev[pairs[c, 1]], r, s)
+            for c, (r,), s in zip(
+                groups.cand.tolist(), groups.tuples, groups.supp.tolist()
+            )
         ]
         yield pd.DataFrame(rows, columns=["event_i", "event_j", "rel", "supp"])
 
@@ -108,37 +128,30 @@ def level12_partial_supports(
 
 def _level_k_partial_supports(
     parts: DataFrame,
-    plan: list[dict[Node, tuple[frozenset[tuple[str, ...]], list]]],
-    candidates: list[Candidate],
+    events: list[EventId],
+    plan: list[Candidates],
+    cands: Candidates,
     cfg: MiningConfig,
 ) -> DataFrame:
     """Partial ``(candidate index, comma-joined rels)`` supports of one
-    level.  ``plan[j]`` maps the level ``j + 2`` nodes whose embeddings
-    the next level extends to their kept relation tuples and, as in a
-    candidate, the relations allowed to their last event."""
+    level.  ``plan[j]`` holds the green nodes of level ``j + 2`` as
+    candidates, each prefix an index into the previous entry (into
+    ``events`` for level 2) and each allowed mask the relations of its
+    kept tuples; ``cands`` extend the last entry."""
     params = {"epsilon": cfg.epsilon, "d_o": cfg.d_o, "t_max": cfg.t_max}
 
     def count(batches):
-        built = _table(batches)
+        built = _table(batches, events)
         if built is None:
             return
         table, _ = built
         embs = table.singletons()
-        for kept in plan:
-            embs = extend(
-                table,
-                embs,
-                [(node, allowed_last) for node, (_, allowed_last) in kept.items()],
-                keep=lambda node, tuples: {
-                    t: s for t, s in tuples.items() if t in kept[node][0]
-                },
-                **params,
-            ).embeddings
-        ext = extend(table, embs, candidates, **params)
+        for level in plan:
+            embs = extend(table, embs, level, store=True, **params).embeddings
+        groups = extend(table, embs, cands, **params).groups
         rows = [
-            (idx, ",".join(t), s)
-            for idx, tuples in enumerate(ext.supports)
-            for t, s in tuples.items()
+            (c, ",".join(t), s)
+            for c, t, s in zip(groups.cand.tolist(), groups.tuples, groups.supp.tolist())
         ]
         if rows:
             yield pd.DataFrame(rows, columns=["node", "rels", "supp"])
@@ -148,42 +161,56 @@ def _level_k_partial_supports(
 
 def _partitioned_count(
     parts: DataFrame,
-    pair_counts: dict[Node, Counter],
+    events: list[EventId],
+    pair_counts: dict[tuple[EventId, EventId], Counter],
     cfg: MiningConfig,
 ) -> Count:
     """The distributed miner's counting for :func:`mine_levels`: L2
-    from the sums of the L1 + L2 pass, Lk from one pass per level."""
-    levels: list[dict[Node, tuple[frozenset[tuple[str, ...]], list]]] = []
+    from the sums of the L1 + L2 pass, Lk from one pass per level.
 
-    def count(candidates, keep, stats):
-        if not candidates:
-            return {}
-        if len(candidates[0][0]) == 2:
-            counts = pair_counts
-        else:
-            # Replay only the nodes some candidate extends, level by level.
-            plan = []
-            needed = {node[:-1] for node, _ in candidates}
-            for green in reversed(levels):
-                plan.append({node: green[node] for node in needed})
-                needed = {node[:-1] for node in needed}
-            plan.reverse()
-            counts = {}
-            partials = _level_k_partial_supports(parts, plan, candidates, cfg)
-            k = len(candidates[0][0])
+    The passes replay the green nodes of every earlier level, each
+    extension restricted to the relations of the node's kept tuples.
+    A replayed row may realize a tuple that was not kept when its
+    relations came from different kept tuples, but no extension of it
+    passes (σ, δ), as its support and confidence are at most its
+    own; at L2, where a tuple is one relation, the replay is exact."""
+    # Per counted level: its green nodes as candidates, and their
+    # indices among that level's candidates.
+    levels: list[tuple[Candidates, np.ndarray]] = []
+
+    def count(cands, keep, stats):
+        k = cands.nodes.shape[1]
+        counts: Counter = Counter()
+        if k == 2:
+            for c, (a, b) in enumerate(cands.nodes.tolist()):
+                for t, s in pair_counts.get((events[a], events[b]), {}).items():
+                    counts[c, t] = s
+        elif len(cands.prefix):
+            plan, prev = [], None
+            for green, ids in levels:
+                if prev is not None:
+                    green = green._replace(prefix=np.searchsorted(prev, green.prefix))
+                plan.append(green)
+                prev = ids
+            last = cands._replace(prefix=np.searchsorted(prev, cands.prefix))
+            partials = _level_k_partial_supports(parts, events, plan, last, cfg)
             with job_description(parts.sparkSession, f"distributed.l{k}"):
                 rows = _rows(partials)
-            for idx, rels, supp in rows:
-                node = candidates[idx][0]
-                counts.setdefault(node, Counter())[tuple(rels.split(","))] += supp
-        level, green = {}, {}
-        for node, allowed_last in candidates:
-            pats = keep(node, counts.get(node, {}))
-            if pats:
-                level[node] = pats
-                green[node] = (frozenset(pats), allowed_last)
-        levels.append(green)
-        return level
+            for c, rels, s in rows:
+                counts[c, tuple(rels.split(","))] += s
+        keys = sorted(counts)
+        cand = np.array([c for c, _ in keys], dtype=np.int64)
+        supp = np.array([counts[key] for key in keys], dtype=np.int64)
+        kept = keep.mask(cand, supp)
+        tuples = list(compress((t for _, t in keys), kept))
+        groups = Groups(cand[kept], tuples, supp[kept])
+        ids = np.unique(groups.cand)
+        bits = np.zeros((len(cands.prefix), k - 1), dtype=np.int64)
+        for c, t in zip(groups.cand.tolist(), groups.tuples):
+            for i, r in enumerate(t[-(k - 1) :]):
+                bits[c, i] |= RELATION_BIT[r]
+        levels.append((cands._replace(allowed=bits).take(ids), ids))
+        return groups
 
     return count
 
@@ -202,7 +229,7 @@ def mine_distributed(
     try:
         n = 0
         supports: dict[EventId, int] = Counter()
-        pair_counts: dict[Node, Counter] = {}
+        pair_counts: dict[tuple[EventId, EventId], Counter] = {}
         partials = level12_partial_supports(
             parts, epsilon=cfg.epsilon, d_o=cfg.d_o, t_max=cfg.t_max
         )
@@ -215,8 +242,7 @@ def mine_distributed(
                 supports[ei] += supp
             else:
                 pair_counts.setdefault((ei, ej), Counter())[(rel,)] += supp
-        return mine_levels(
-            n, supports, cfg, _partitioned_count(parts, pair_counts, cfg)
-        )
+        count = _partitioned_count(parts, sorted(supports), pair_counts, cfg)
+        return mine_levels(n, supports, cfg, count)
     finally:
         parts.unpersist()

@@ -25,18 +25,30 @@ made total and deterministic with the key ``(start, -end, event_id)``:
 **Columnar layout.**  An :class:`InstanceTable` holds the instances of
 a set of sequences in CSR form: sorted ``start``/``end`` arrays grouped
 by event rank and sequence, with one offset per non-empty
-``(event, sequence)`` slot.  Event ranks follow sorted event ids, so
-comparing ranks in the order key compares ids.  A
+``(event, sequence)`` slot, and one order key per instance, (slot,
+start, −end), increasing in table order.  Event ranks follow sorted
+event ids, so comparing ranks in the order key compares ids.  A
 :class:`repro.core.seqdb.SequenceDatabase` builds its table once from
 the D_SEQ columns; A-HTPGM narrows it to the correlated events with
 :meth:`InstanceTable.restrict`, a row mask on event rank.  A level's
 embeddings are an :class:`Embeddings`: per row a sequence, the start
-and end of each of its ``k`` instances, and one integer code naming
-its relation tuple; each node owns a contiguous row range.
+and end of each of its ``k`` instances, the table row of its last
+instance, and one integer code naming its relation tuple; each node
+owns a contiguous row range.
+
+**One level step.**  :func:`extend` takes a level's
+:class:`Candidates` as arrays (prefix node, event ranks, a bitmask of
+allowed relations per position).  For each prefix row, one binary
+search in the order keys finds the first instance of the new event
+that follows the row's last instance, so only chronologically ordered
+extensions are built.  Supports come from one sort of the extensions
+by (group code, sequence), the σ/δ filter is a :class:`Keep` of array
+masks over the group supports and each candidate's largest event
+support, and relation tuples are decoded for the kept groups alone.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Collection, Sequence
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -45,9 +57,6 @@ import numpy as np
 from .model import EventId, Instance
 from .relations import RELATIONS, relation, relation_codes
 
-Node = tuple[EventId, ...]
-#: Relation tuple -> support of one node.
-Supports = dict[tuple[str, ...], int]
 
 
 def enumerate_pattern_tuples(
@@ -133,23 +142,33 @@ def enumerate_pattern_tuples(
     return results
 
 
+#: Bit ``r`` of an allowed-relation mask admits relation code ``r``
+#: (the order of :data:`repro.core.relations.RELATIONS`).
+RELATION_BIT = {r: 1 << i for i, r in enumerate(RELATIONS)}
+#: The mask that admits every relation.
+ALL_RELATIONS = sum(RELATION_BIT.values())
+_RELATION_ARRAY = np.array(RELATIONS)
+
+
 @dataclass(frozen=True)
 class Embeddings:
     """The embeddings of one HPG level, one row each.
 
     Row ``r`` lies in sequence ``seq[r]`` and places its ``i``-th
     instance at ``start[i, r]``/``end[i, r]`` (shape ``(k, n)``, so a
-    position is one contiguous array); ``tuples[code[r]]`` is the
-    relation tuple it realizes.  Node ``node`` owns rows
-    ``rows[node][0]:rows[node][1]``, sorted by sequence.
+    position is one contiguous array); its last instance is row
+    ``last[r]`` of the instance table, and ``tuples[code[r]]`` is the
+    relation tuple it realizes.  Node ``j`` owns rows ``lo[j]:hi[j]``.
     """
 
     seq: np.ndarray
     start: np.ndarray
     end: np.ndarray
+    last: np.ndarray
     code: np.ndarray
     tuples: list[tuple[str, ...]]
-    rows: dict[Node, tuple[int, int]]
+    lo: np.ndarray
+    hi: np.ndarray
 
     def __len__(self) -> int:
         return len(self.seq)
@@ -164,7 +183,11 @@ class InstanceTable:
     sequences are numbered ``0 .. n_seq - 1`` in the order of their ids.
     The ``j``-th non-empty ``(event, sequence)`` slot has key
     ``slots[j] = rank * n_seq + sequence`` and holds instances
-    ``offsets[j]:offsets[j + 1]``.
+    ``offsets[j]:offsets[j + 1]``.  ``key`` is the order key of each
+    instance, ``slot * len(start) + pos`` with ``pos`` the rank of its
+    ``(start, -end)`` among the distinct pairs of the table: increasing
+    in table order, so one binary search finds the instances of a slot
+    that follow a given instance.
     """
 
     events: list[EventId]
@@ -174,56 +197,80 @@ class InstanceTable:
     end: np.ndarray
     slots: np.ndarray
     offsets: np.ndarray
+    key: np.ndarray
 
     @classmethod
     def from_columns(
-        cls, seq_id, event, start, end, n_seq: int | None = None
+        cls,
+        seq_id,
+        event,
+        start,
+        end,
+        n_seq: int | None = None,
+        events: Sequence[EventId] | None = None,
     ) -> "InstanceTable":
         """Build from equal-length D_SEQ columns (any order, rows
         already checked).  With ``n_seq`` the sequence ids are
         ``0 .. n_seq - 1`` and kept as they are; without it they need
-        not be dense and are numbered in sorted order."""
+        not be dense and are numbered in sorted order.  With ``events``
+        (sorted, holding every event of the rows) the ranks index it,
+        events without instances included; without it they index the
+        distinct events of the rows."""
         if n_seq is None:
             seq_ids, seq = np.unique(np.asarray(seq_id), return_inverse=True)
             n_seq = len(seq_ids)
         else:
             seq = np.asarray(seq_id, dtype=np.int64)
-        events, rank = np.unique(np.asarray(event, dtype=object), return_inverse=True)
+        event = np.asarray(event, dtype=object)
+        if events is None:
+            events, rank = np.unique(event, return_inverse=True)
+        else:
+            rank = np.searchsorted(np.asarray(events, dtype=object), event)
         start = np.asarray(start, dtype=np.int64)
         end = np.asarray(end, dtype=np.int64)
         key = rank.astype(np.int64) * n_seq + seq
         order = np.lexsort((-end, start, key))
-        key = key[order]
+        key, start, end = key[order], start[order], end[order]
         slots, first = np.unique(key, return_index=True)
         return cls(
-            events=events.tolist(),
+            events=list(events),
             n_seq=n_seq,
             seq=seq[order],
-            start=start[order],
-            end=end[order],
+            start=start,
+            end=end,
             slots=slots,
             offsets=np.append(first, len(key)),
+            key=key * len(start) + _positions(start, end),
         )
 
     def restrict(self, events: Collection[EventId]) -> "InstanceTable":
         """The table of the instances of ``events`` alone: a row mask on
-        event rank, with the kept ranks renumbered in order.  Equal to
-        :meth:`from_columns` over the kept rows, with this ``n_seq``."""
+        event rank, with the kept ranks and positions renumbered in
+        order.  Equal to :meth:`from_columns` over the kept rows, with
+        this ``n_seq``."""
         keep = np.array([ev in events for ev in self.events], dtype=bool)
         slot_rank = self.slots // max(self.n_seq, 1)
         # Moving a slot from rank r to rank r' moves its key by (r' - r) * n_seq.
         shift = (np.cumsum(keep) - 1 - np.arange(len(keep)))[slot_rank] * self.n_seq
         slot_keep = keep[slot_rank]
+        slots = (self.slots + shift)[slot_keep]
         sizes = np.diff(self.offsets)
         rows = np.repeat(slot_keep, sizes)
+        sizes = sizes[slot_keep]
+        # The kept positions, renumbered densely in order.
+        pos = self.key[rows] % max(len(self.start), 1)
+        present = np.zeros(len(self.start), dtype=bool)
+        present[pos] = True
+        pos = (np.cumsum(present) - 1)[pos]
         return InstanceTable(
             events=[ev for ev, k in zip(self.events, keep.tolist()) if k],
             n_seq=self.n_seq,
             seq=self.seq[rows],
             start=self.start[rows],
             end=self.end[rows],
-            slots=(self.slots + shift)[slot_keep],
-            offsets=np.append(0, np.cumsum(sizes[slot_keep])),
+            slots=slots,
+            offsets=np.append(0, np.cumsum(sizes)),
+            key=np.repeat(slots, sizes) * len(pos) + pos,
         )
 
     def supports(self) -> dict[EventId, int]:
@@ -232,29 +279,91 @@ class InstanceTable:
         return dict(zip(self.events, counts.tolist()))
 
     def singletons(self) -> Embeddings:
-        """The one-instance embeddings of every event: level 1."""
+        """The one-instance embeddings of every event: level 1, whose
+        node ``r`` is the event of rank ``r``."""
         bounds = np.searchsorted(
             self.slots, np.arange(len(self.events) + 1) * self.n_seq
         )
-        lo, hi = self.offsets[bounds[:-1]], self.offsets[bounds[1:]]
+        offsets = self.offsets[bounds]
         return Embeddings(
             seq=self.seq,
             start=self.start[None],
             end=self.end[None],
+            last=np.arange(len(self.seq)),
             code=np.zeros(len(self.seq), dtype=np.int64),
             tuples=[()],
-            rows={(ev,): (int(a), int(b)) for ev, a, b in zip(self.events, lo, hi)},
+            lo=offsets[:-1],
+            hi=offsets[1:],
         )
+
+
+def _positions(start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """Per instance, the rank of its ``(start, -end)`` among the
+    distinct pairs."""
+    order = np.lexsort((-end, start))
+    s, e = start[order], end[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (s[1:] != s[:-1]) | (e[1:] != e[:-1])
+    pos = np.empty(len(order), dtype=np.int64)
+    pos[order] = np.cumsum(new) - 1
+    return pos
+
+
+class Candidates(NamedTuple):
+    """The candidates of one level, as arrays.
+
+    Candidate ``c`` is the node of event ranks ``nodes[c]`` (shape
+    ``(n, k)``).  It extends the embeddings of node ``prefix[c]`` of the
+    previous level by an instance of event ``nodes[c, -1]`` whose
+    relation to position ``i`` is one of the bits of ``allowed[c, i]``
+    (see :data:`RELATION_BIT`).
+    """
+
+    prefix: np.ndarray
+    nodes: np.ndarray
+    allowed: np.ndarray
+
+    def take(self, idx) -> "Candidates":
+        """The candidates selected by an index or mask."""
+        return Candidates(*(a[idx] for a in self))
+
+
+class Keep(NamedTuple):
+    """The σ/δ filter of a level, as arrays: a relation tuple of
+    candidate ``c`` supported by ``supp`` sequences is kept when
+    ``supp >= min_support`` and ``supp / top[c] >= delta``, where
+    ``top[c]`` is the largest support of an event of the candidate
+    (paper Defs. 3.12/3.14)."""
+
+    min_support: int
+    delta: float
+    top: np.ndarray
+
+    def mask(self, cand: np.ndarray, supp: np.ndarray) -> np.ndarray:
+        """Per group: is ``supp`` of candidate ``cand`` kept?"""
+        return (supp >= self.min_support) & (supp / self.top[cand] >= self.delta)
+
+
+class Groups(NamedTuple):
+    """Counted (candidate, relation tuple) groups, sorted by candidate:
+    group ``g`` is tuple ``tuples[g]`` of candidate ``cand[g]``,
+    supported by ``supp[g]`` sequences."""
+
+    cand: np.ndarray
+    tuples: list[tuple[str, ...]]
+    supp: np.ndarray
 
 
 class Extension(NamedTuple):
     """The result of :func:`extend` for one level."""
 
-    #: per candidate: relation tuple -> support (after ``keep``)
-    supports: list[Supports]
-    #: the kept embeddings of the level; ``None`` without ``keep``
+    #: the kept groups
+    groups: Groups
+    #: the embeddings of the kept groups, one node per candidate;
+    #: ``None`` unless stored
     embeddings: Embeddings | None
-    #: (prefix embedding, instance of the new event) pairs examined
+    #: (prefix embedding, instance of the new event in its sequence)
+    #: pairs, before the order key bounds them
     pairs_checked: int
 
 
@@ -262,175 +371,181 @@ class Extension(NamedTuple):
 #: memory, which grows with the rows times the new event's instances
 #: per sequence, at no measurable cost in speed.
 _BATCH_ROWS = 1 << 12
-#: Codes above this are renumbered densely before the next ``* 3``.
-_CODE_LIMIT = np.iinfo(np.int64).max // 3
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def extend(
     table: InstanceTable,
     embs: Embeddings,
-    candidates: Sequence[tuple[Node, Sequence[Collection[str]]]],
+    cands: Candidates,
     *,
+    keep: Keep | None = None,
+    store: bool = False,
     epsilon: int = 0,
     d_o: int = 1,
     t_max: int | None = None,
-    keep: Callable[[Node, Supports], Supports] | None = None,
 ) -> Extension:
     """Extend the embeddings of a level by one event per candidate.
 
-    Every candidate ``(node, allowed_last)`` extends the rows of its
-    prefix ``node[:-1]`` in ``embs`` by the instances of ``node[-1]``
-    in the same sequence.  An instance extends a row when it strictly
-    follows the row's last instance, keeps the span within ``t_max``
-    and relates to position ``i`` by a relation in ``allowed_last[i]``.
-    Returns, per candidate, the number of sequences supporting each
-    relation tuple.  With ``keep(node, supports)`` the supports are
-    filtered by it, and the rows realizing a kept tuple become the next
-    level's :class:`Embeddings`, in candidate order.
+    Every candidate extends the rows of its prefix node in ``embs`` by
+    the instances of its new event in the same sequence.  An instance
+    extends a row when it follows the row's last instance in the order
+    key, keeps the span within ``t_max`` and relates to each position
+    by an allowed relation.  Returns the number of sequences supporting
+    each (candidate, relation tuple) group that ``keep`` keeps (every
+    group without it).  With ``store`` the rows of the kept groups
+    become the next level's :class:`Embeddings`, one node per candidate.
 
     Extending :meth:`InstanceTable.singletons` gives the 2-event
     embeddings, so the same step builds every level.  The candidates of
     a level are expanded together in array operations, in batches of
     whole candidates with about ``_BATCH_ROWS`` prefix rows each.
     """
-    n_cand = len(candidates)
+    n_cand, k = cands.nodes.shape
     if n_cand == 0:
-        return Extension([], None, 0)
-    k = len(candidates[0][0])
-    rank = {ev: r for r, ev in enumerate(table.events)}
-    lo = np.zeros(n_cand, dtype=np.int64)
-    lens = np.zeros(n_cand, dtype=np.int64)
-    new_rank = np.zeros(n_cand, dtype=np.int64)
-    after_last = np.zeros(n_cand, dtype=bool)
-    # Bit r of allowed[c, i]: relation code r may join position i to the
-    # new event; bit 3 (no relation) is never set.
-    allowed = np.zeros((n_cand, k - 1), dtype=np.int64)
-    bits: dict[Collection[str], int] = {}
-    for c, (node, allowed_last) in enumerate(candidates):
-        r, span = rank.get(node[-1]), embs.rows.get(node[:-1])
-        if r is not None and span is not None:
-            lo[c], lens[c] = span[0], span[1] - span[0]
-            new_rank[c] = r
-            after_last[c] = r > rank[node[-2]]
-        for i, rels in enumerate(allowed_last):
-            if rels not in bits:
-                bits[rels] = sum(1 << RELATIONS.index(x) for x in rels)
-            allowed[c, i] = bits[rels]
+        empty = np.zeros(0, np.int64)
+        return Extension(Groups(empty, [], empty), None, 0)
+    lo = embs.lo[cands.prefix]
+    lens = embs.hi[cands.prefix] - lo
+    # Equal (start, -end) orders by event rank: the new instance must
+    # strictly follow the last unless its event's rank is higher.
+    strict = cands.nodes[:, -1] <= cands.nodes[:, -2]
     batch = (np.cumsum(lens) - lens) // _BATCH_ROWS
     bounds = np.flatnonzero(np.diff(batch, prepend=-1, append=batch[-1] + 1))
+    n_seq = max(table.n_seq, 1)
 
-    supports: list[Supports] = [{} for _ in range(n_cand)]
     pairs_checked = 0
-    kept_parts = [(np.zeros(0, np.int64),) * 5]
-    kept_tuples: list[tuple[str, ...]] = []
+    kept_cand, kept_supp, kept_tuples = [], [], []
+    kept_parts = [(np.zeros(0, np.int64),) * 4]
     for c0, c1 in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         cand = np.repeat(np.arange(c0, c1), lens[c0:c1])
         prow = _concat_ranges(lo[c0:c1], lens[c0:c1])
-        n_pairs, (cand, prow, s2, e2, code) = _related_pairs(
-            table, embs, cand, prow, new_rank, after_last, allowed, k,
-            epsilon, d_o, t_max,
+        n_pairs, (cand, prow, inst, code) = _related_pairs(
+            table, embs, cands, cand, prow, strict, k, epsilon, d_o, t_max
         )
         pairs_checked += n_pairs
-        # Supports: distinct sequences per (candidate, tuple) group.
-        _, rep, group = np.unique(code, return_index=True, return_inverse=True)
-        per_seq = np.unique(group * table.n_seq + embs.seq[prow])
-        supp = np.bincount(per_seq // table.n_seq, minlength=len(rep)).tolist()
-        # Each group's tuple, decoded from one of its rows.
-        new_rels = np.stack(
-            [
-                relation_codes(
-                    embs.start[i, prow[rep]], embs.end[i, prow[rep]],
-                    s2[rep], e2[rep], epsilon, d_o,
-                )
-                for i in range(k - 1)
-            ],
-            axis=1,
-        )
-        group_cand = cand[rep].tolist()
-        group_tuples = [
-            embs.tuples[pc] + tuple(rels)
-            for pc, rels in zip(
-                embs.code[prow[rep]].tolist(), np.array(RELATIONS)[new_rels].tolist()
-            )
-        ]
-        for c, t, n in zip(group_cand, group_tuples, supp):
-            supports[c][t] = n
-        if keep is None:
+        if not len(code):
             continue
-        for c in range(c0, c1):
-            supports[c] = keep(candidates[c][0], supports[c])
-        kept = np.array(
-            [t in supports[c] for c, t in zip(group_cand, group_tuples)], dtype=bool
+        # Supports, from one sort by (code, sequence): a group is a run
+        # of one code, and its support the sequences that start in it.
+        order = np.argsort(code * n_seq + embs.seq[prow])
+        sorted_code, sorted_seq = code[order], embs.seq[prow[order]]
+        new_group = np.ones(len(order), dtype=bool)
+        new_group[1:] = sorted_code[1:] != sorted_code[:-1]
+        new_seq = new_group.copy()
+        new_seq[1:] |= sorted_seq[1:] != sorted_seq[:-1]
+        starts = np.flatnonzero(new_group)
+        supp = np.add.reduceat(new_seq, starts, dtype=np.int64)
+        rep = order[starts]
+        group_cand = cand[rep]
+        kept = (
+            np.ones(len(rep), dtype=bool)
+            if keep is None
+            else keep.mask(group_cand, supp)
         )
-        rows = kept[group]
-        codes = np.cumsum(kept) - 1 + len(kept_tuples)
-        kept_tuples += [t for t, kk in zip(group_tuples, kept.tolist()) if kk]
-        kept_parts.append(
-            (cand[rows], prow[rows], s2[rows], e2[rows], codes[group[rows]])
-        )
-    if keep is None:
-        return Extension(supports, None, pairs_checked)
+        kept_cand.append(group_cand[kept])
+        kept_supp.append(supp[kept])
+        n_before = len(kept_tuples)
+        krep = rep[kept]
+        kept_tuples += _decode(table, embs, prow[krep], inst[krep], k, epsilon, d_o)
+        if store:
+            group = np.cumsum(new_group) - 1
+            rows = kept[group]
+            codes = (np.cumsum(kept) - 1 + n_before)[group[rows]]
+            sel = order[rows]
+            kept_parts.append((cand[sel], prow[sel], inst[sel], codes))
+    groups = Groups(
+        np.concatenate(kept_cand or [np.zeros(0, np.int64)]),
+        kept_tuples,
+        np.concatenate(kept_supp or [np.zeros(0, np.int64)]),
+    )
+    if not store:
+        return Extension(groups, None, pairs_checked)
 
-    cand, prow, s2, e2, code = (np.concatenate(cols) for cols in zip(*kept_parts))
+    # Rows sorted by code are sorted by candidate, the code's major part.
+    cand, prow, inst, code = (np.concatenate(cols) for cols in zip(*kept_parts))
     del kept_parts
-    bounds = np.searchsorted(cand, np.arange(n_cand + 1))
+    spans = np.searchsorted(cand, np.arange(n_cand + 1))
     nxt = Embeddings(
         seq=embs.seq[prow],
-        start=np.vstack((embs.start[:, prow], s2)),
-        end=np.vstack((embs.end[:, prow], e2)),
+        start=np.vstack((embs.start[:, prow], table.start[inst])),
+        end=np.vstack((embs.end[:, prow], table.end[inst])),
+        last=inst,
         code=code,
         tuples=kept_tuples,
-        rows={
-            candidates[c][0]: (int(bounds[c]), int(bounds[c + 1]))
-            for c in np.flatnonzero(np.diff(bounds)).tolist()
-        },
+        lo=spans[:-1],
+        hi=spans[1:],
     )
-    return Extension(supports, nxt, pairs_checked)
+    return Extension(groups, nxt, pairs_checked)
 
 
-def _related_pairs(
-    table, embs, cand, prow, new_rank, after_last, allowed, k, epsilon, d_o, t_max
-):
-    """Extend prefix rows ``prow`` of candidates ``cand`` by every
-    instance of the candidate's new event in the row's sequence, and
-    keep the extensions that pass the order key, ``t_max`` and the
-    allowed relations.
+def _related_pairs(table, embs, cands, cand, prow, strict, k, epsilon, d_o, t_max):
+    """Extend prefix rows ``prow`` of candidates ``cand`` by the
+    instances of the candidate's new event in the row's sequence that
+    follow the row's last instance in the order key, and keep the
+    extensions within ``t_max`` whose relation to every earlier
+    position is allowed.
 
-    Returns the number of extensions examined and, per kept extension,
-    its candidate, prefix row, new start and end, and a code that is
-    equal for two extensions exactly when their candidate, prefix tuple
-    and new relations are.
+    Returns the number of (row, instance) pairs in the rows' slots and,
+    per kept extension, its candidate, prefix row, new instance, and a
+    code that is equal for two extensions exactly when their candidate,
+    prefix tuple and new relations are; a code times ``n_seq`` fits in
+    an int64.
     """
-    slot = new_rank[cand] * table.n_seq + embs.seq[prow]
+    slot = cands.nodes[cand, -1] * table.n_seq + embs.seq[prow]
     j = np.minimum(np.searchsorted(table.slots, slot), len(table.slots) - 1)
-    first = table.offsets[j]
-    count = np.where(table.slots[j] == slot, table.offsets[j + 1] - first, 0)
+    hit = table.slots[j] == slot
+    end = table.offsets[j + 1]
+    n_pairs = int(np.where(hit, end - table.offsets[j], 0).sum())
+    # The first instance of the slot whose (start, -end) is not before
+    # the last instance's (after it, when ``strict``).
+    base = len(table.start)
+    probe = slot * base + table.key[embs.last[prow]] % base + strict[cand]
+    first = np.searchsorted(table.key, probe)
+    count = np.where(hit, np.maximum(end - first, 0), 0)
     cand, prow = np.repeat(cand, count), np.repeat(prow, count)
     inst = _concat_ranges(first, count)
-    # Strict chronological order against the last position, and t_max.
+    del slot, j, hit, end, probe, first, count
     s2, e2 = table.start[inst], table.end[inst]
-    s1, e1 = embs.start[-1, prow], embs.end[-1, prow]
-    ok = (s2 > s1) | ((s2 == s1) & ((e2 < e1) | ((e2 == e1) & after_last[cand])))
     if t_max is not None:
-        ok &= e2 - embs.start[0, prow] <= t_max
-    n_pairs = len(inst)
-    del inst, s1, e1
-    cand, prow, s2, e2 = cand[ok], prow[ok], s2[ok], e2[ok]
+        ok = e2 - embs.start[0, prow] <= t_max
+        cand, prow, inst, s2, e2 = cand[ok], prow[ok], inst[ok], s2[ok], e2[ok]
     # Relations to each earlier position, appended to the code in base 3.
     n_tuples = len(embs.tuples)
     code = cand * n_tuples + embs.code[prow]
-    bound = len(after_last) * n_tuples
+    bound = len(cands.prefix) * n_tuples
+    limit = _INT64_MAX // (3 * max(table.n_seq, 1))
     for i in range(k - 1):
         r = relation_codes(embs.start[i, prow], embs.end[i, prow], s2, e2, epsilon, d_o)
         # r & 3 maps "no relation" (-1) to bit 3, which is never allowed
-        ok = ((allowed[cand, i] >> (r & 3)) & 1).astype(bool)
-        cand, prow, s2, e2, code, r = cand[ok], prow[ok], s2[ok], e2[ok], code[ok], r[ok]
-        if bound > _CODE_LIMIT:
+        ok = ((cands.allowed[cand, i] >> (r & 3)) & 1).astype(bool)
+        cand, prow, inst, s2, e2 = cand[ok], prow[ok], inst[ok], s2[ok], e2[ok]
+        code, r = code[ok], r[ok]
+        if bound > limit:
             uniq, code = np.unique(code, return_inverse=True)
             bound = len(uniq)
         code = code * 3 + r
         bound *= 3
-    return n_pairs, (cand, prow, s2, e2, code)
+    return n_pairs, (cand, prow, inst, code)
+
+
+def _decode(table, embs, prow, inst, k, epsilon, d_o) -> list[tuple[str, ...]]:
+    """The relation tuples of the extensions of rows ``prow`` by
+    instances ``inst``: the prefix tuple and the new relations."""
+    new_rels = np.stack(
+        [
+            relation_codes(
+                embs.start[i, prow], embs.end[i, prow],
+                table.start[inst], table.end[inst], epsilon, d_o,
+            )
+            for i in range(k - 1)
+        ],
+        axis=1,
+    )
+    return [
+        embs.tuples[pc] + tuple(rels)
+        for pc, rels in zip(embs.code[prow].tolist(), _RELATION_ARRAY[new_rels].tolist())
+    ]
 
 
 def _concat_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:

@@ -25,6 +25,15 @@ both run it:
   pattern-level Apriori (any sub-pattern of a frequent pattern is
   frequent, Defs. 3.12/3.14).
 
+A level's candidates are arrays, not Python tuples: per candidate its
+prefix node, its events as ranks and, per earlier position, a bitmask
+of the allowed relations (:class:`repro.core.enumerate.Candidates`).
+Transitivity admission gathers those masks from an events × events
+bitmask of the green L2 relations, the Lemma 2/3 gate and the σ/δ keep
+compare supports with an array of each candidate's largest event
+support (:class:`repro.core.enumerate.Keep`), and event names are
+attached only to the green nodes' patterns.
+
 Only support counting differs between the miners, and the loop takes it
 as a function.  The driver's is :func:`_count_embeddings`: HPG nodes
 store the embeddings of their kept patterns, as Fig. 4's nodes store
@@ -40,32 +49,25 @@ identical pattern sets (regression-tested).
 Besides the per-level records of :class:`repro.core.model.MiningResult`,
 ``stats`` holds the run's counters: ``candidates_l2``,
 ``candidates_k`` and ``enumerated_nodes`` summed over levels,
-``seconds_l{k}`` (wall time of level ``k``) for every mined level, and,
-from the driver's counting, ``pairs_checked_l{k}`` and
-``embeddings_kept_l{k}``.
+``seconds_l{k}`` (wall time of level ``k``) and ``enumerated_l{k}``
+(its candidates that pass the gate; they sum to ``enumerated_nodes``)
+for every mined level, and, from the driver's counting,
+``pairs_checked_l{k}`` and ``embeddings_kept_l{k}``.
 """
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Collection
+from collections.abc import Callable
 from dataclasses import dataclass, replace
-from itertools import compress
 
 import numpy as np
 
-from .enumerate import Node, Supports, extend
+from .enumerate import ALL_RELATIONS, RELATION_BIT, Candidates, Groups, Keep, extend
 from .model import EventId, MiningResult, min_support
-from .relations import RELATIONS
 from .seqdb import SequenceDatabase
 
-#: A candidate node and, per earlier position ``i``, the relations
-#: allowed between ``E_i`` and its last event.
-Candidate = tuple[Node, list[Collection[str]]]
 #: ``count(candidates, keep, stats)``; see :func:`mine_levels`.
-Count = Callable[
-    [list[Candidate], Callable[[Node, Supports], Supports], dict],
-    dict[Node, Supports],
-]
+Count = Callable[[Candidates, Keep, dict], Groups]
 
 
 @dataclass(frozen=True)
@@ -134,83 +136,90 @@ def mine_levels(
     cfg: MiningConfig,
     count: Count,
     *,
-    group_supports: Callable[[list[Node]], np.ndarray] | None = None,
+    group_supports: Callable[[np.ndarray], np.ndarray] | None = None,
     edge_filter: Callable[[EventId, EventId], bool] | None = None,
 ) -> MiningResult:
     """The level-wise HPG walk over ``n`` sequences with event ``supports``.
 
-    ``count(candidates, keep, stats)`` counts, for every candidate
-    ``(node, allowed_last)``, the sequences supporting each relation
-    tuple of ``node`` whose last event relates to position ``i`` by a
-    relation in ``allowed_last[i]``.  It returns the green nodes, those
-    where ``keep(node, tuple_supports)`` (the σ/δ filter) is non-empty,
-    mapped to that result, and may add counters of its own to ``stats``;
-    the loop records each level's wall time as ``seconds_l{k}``.
+    Events are numbered by rank in sorted order; a counting function's
+    instance tables must rank them the same way.
+    ``count(candidates, keep, stats)`` counts, for every candidate of
+    :class:`repro.core.enumerate.Candidates`, the sequences supporting
+    each relation tuple of its node whose last event relates to
+    position ``i`` by a relation in its allowed mask.  It returns the
+    (candidate, tuple) groups that ``keep`` (the σ/δ filter) keeps, as
+    :class:`repro.core.enumerate.Groups`, and may add counters of its
+    own to ``stats``.  A candidate's prefix is a node of the previous
+    level, named by its candidate index there; an L1 node is named by
+    its event.  The loop records each level's wall time as
+    ``seconds_l{k}`` and its gated candidates as ``enumerated_l{k}``.
     ``group_supports(nodes)``, when given, is the number of sequences
-    holding every event of each node, as an array; with
+    holding every event of each row of an (n, k) array of events; with
     ``cfg.prune_apriori`` it gates the candidates by Lemmas 2/3, one
     call per level over the candidates the other rules admit.
     ``edge_filter`` gates the L2 pairs, as in :func:`mine`.
     """
+    events = sorted(supports)
+    esupp = np.array([supports[e] for e in events], dtype=np.int64)
     ms = min_support(cfg.sigma, n)
-    one_freq = {e: s for e, s in supports.items() if s >= ms}
+    freq = np.flatnonzero(esupp >= ms)
     result = MiningResult(
-        n_sequences=n, frequent_events=dict(one_freq), patterns={}
+        n_sequences=n,
+        frequent_events={events[e]: int(esupp[e]) for e in freq.tolist()},
+        patterns={},
     )
     stats = result.stats = dict.fromkeys(
         ("candidates_l2", "candidates_k", "enumerated_nodes"), 0
     )
-    result.node_counts[1] = result.pattern_counts[1] = len(one_freq)
+    result.node_counts[1] = result.pattern_counts[1] = len(freq)
 
-    def frequent(node: Node, supp: int) -> bool:
-        return supp >= ms and supp / max(one_freq[e] for e in node) >= cfg.delta
-
-    def keep(node: Node, tuples: Supports) -> Supports:
-        return {t: s for t, s in tuples.items() if frequent(node, s)}
-
-    events1 = sorted(one_freq)
-    level: dict[Node, Supports] = {(e,): {} for e in events1}
-    allowed: dict[Node, frozenset[str]] = {}
+    # The green nodes of the level: their events, their names in the
+    # count and their largest event support.
+    nodes, ids, top = freq[:, None], freq, esupp[freq]
+    # Bit r of green[E_i, E_j]: relation r is kept at L2 node (E_i, E_j).
+    green = np.zeros((len(events), len(events)), dtype=np.int64)
     for k in range(2, cfg.max_k + 1):
-        if not level:
+        if not len(nodes):
             break
         t0 = time.perf_counter()
-        new = sorted({e for node in level for e in node}) if cfg.prune_trans else events1
-        stats["candidates_l2" if k == 2 else "candidates_k"] += len(level) * len(new)
-        candidates: list[Candidate] = []
-        for prefix in level:
-            for ek in new:
-                node = prefix + (ek,)
-                if k == 2:
-                    if edge_filter is not None and not edge_filter(*node):
-                        continue
-                    allowed_last = [RELATIONS]
-                elif cfg.prune_trans:
-                    allowed_last = [allowed.get((ei, ek)) for ei in prefix]
-                    if None in allowed_last:
-                        continue  # some (E_i, E_k) is not a green L2 node
-                else:
-                    allowed_last = [RELATIONS] * len(prefix)
-                candidates.append((node, allowed_last))
-        if cfg.prune_apriori and group_supports is not None and candidates:
+        new = np.unique(nodes) if cfg.prune_trans else freq
+        stats["candidates_l2" if k == 2 else "candidates_k"] += len(nodes) * len(new)
+        if k > 2 and cfg.prune_trans:
+            # Every (E_i, E_k) must be a green L2 node, and E_i relates
+            # to E_k by one of its green relations (Lemmas 4-7).
+            allowed = green[nodes[:, :, None], new]
+        else:
+            allowed = np.full((len(nodes), k - 1, len(new)), ALL_RELATIONS)
+        admit = (allowed != 0).all(axis=1)
+        if k == 2 and edge_filter is not None:
+            admit &= np.array(
+                [[edge_filter(events[a], events[b]) for b in new] for a in nodes[:, 0]],
+                dtype=bool,
+            )
+        p, j = np.nonzero(admit)
+        cands = Candidates(ids[p], np.column_stack((nodes[p], new[j])), allowed[p, :, j])
+        keep = Keep(ms, cfg.delta, np.maximum(top[p], esupp[new[j]]))
+        if cfg.prune_apriori and group_supports is not None and len(p):
             # Lemmas 2/3: the event combination's support and confidence
             # pass (σ, δ), for the whole level at once
-            nodes = [node for node, _ in candidates]
-            supp = group_supports(nodes)
-            top = np.array([max(one_freq[e] for e in node) for node in nodes])
-            passed = (supp >= ms) & (supp / top >= cfg.delta)
-            candidates = list(compress(candidates, passed.tolist()))
-        stats["enumerated_nodes"] += len(candidates)
-        level = count(candidates, keep, stats)
-        result.node_counts[k] = len(level)
-        result.pattern_counts[k] = sum(len(p) for p in level.values())
-        for node, pats in level.items():
-            for t, s in pats.items():
-                result.patterns[(node, t)] = s
+            passed = keep.mask(np.arange(len(p)), group_supports(cands.nodes))
+            cands, keep = cands.take(passed), keep._replace(top=keep.top[passed])
+        stats[f"enumerated_l{k}"] = len(cands.prefix)
+        stats["enumerated_nodes"] += len(cands.prefix)
+        groups = count(cands, keep, stats)
+        ids = np.unique(groups.cand)
+        names = {
+            c: tuple(events[e] for e in node)
+            for c, node in zip(ids.tolist(), cands.nodes[ids].tolist())
+        }
+        for c, t, s in zip(groups.cand.tolist(), groups.tuples, groups.supp.tolist()):
+            result.patterns[(names[c], t)] = s
+        result.node_counts[k] = len(ids)
+        result.pattern_counts[k] = len(groups.tuples)
         if k == 2:
-            allowed = {
-                pair: frozenset(t[0] for t in pats) for pair, pats in level.items()
-            }
+            bits = np.array([RELATION_BIT[r] for (r,) in groups.tuples], dtype=np.int64)
+            np.bitwise_or.at(green, tuple(cands.nodes[groups.cand].T), bits)
+        nodes, top = cands.nodes[ids], keep.top[ids]
         stats[f"seconds_l{k}"] = time.perf_counter() - t0
     return result
 
@@ -235,30 +244,25 @@ def _count_embeddings(db: SequenceDatabase, cfg: MiningConfig) -> Count:
     table = db.table
     embs = table.singletons()
 
-    def count(candidates, keep, stats):
+    def count(cands, keep, stats):
         nonlocal embs
-        k = len(embs.start) + 1  # embs holds the (k-1)-event embeddings
-        last = k == cfg.max_k
+        k = cands.nodes.shape[1]
         ext = extend(
             table,
             embs,
-            candidates,
+            cands,
+            keep=keep,
+            store=k < cfg.max_k,
             epsilon=cfg.epsilon,
             d_o=cfg.d_o,
             t_max=cfg.t_max,
-            keep=None if last else keep,
         )
-        level = {}
-        for (node, _), tuples in zip(candidates, ext.supports):
-            pats = keep(node, tuples) if last else tuples
-            if pats:
-                level[node] = pats
         stats[f"pairs_checked_l{k}"] = ext.pairs_checked
         stats[f"embeddings_kept_l{k}"] = (
             0 if ext.embeddings is None else len(ext.embeddings)
         )
         embs = ext.embeddings
-        return level
+        return ext.groups
 
     return count
 

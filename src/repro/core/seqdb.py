@@ -15,14 +15,14 @@ use only.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import pandas as pd
 
-from .enumerate import InstanceTable, Node
+from .collect import job_description
+from .enumerate import InstanceTable
 from .model import EventId, Instance
 
 #: Expected schema of a D_SEQ DataFrame (Spark or pandas).
@@ -154,14 +154,14 @@ class SequenceDatabase:
     def _packed_bitmaps(self) -> np.ndarray:
         return np.packbits(self._bitmap_matrix, axis=1)
 
-    def group_supports(self, nodes: Sequence[Node]) -> np.ndarray:
-        """:meth:`group_support` of every node, in one pass per batch:
-        gather the nodes' rows of the packed bitmap matrix, AND-reduce
-        and count the set bits.  The nodes must have one length."""
-        if not nodes:
+    def group_supports(self, nodes) -> np.ndarray:
+        """:meth:`group_support` of every row of ``nodes``, an (n, k)
+        array of event ranks (indices into :attr:`events`), in one pass
+        per batch: gather the rows of the packed bitmap matrix, AND-reduce
+        and count the set bits."""
+        idx = np.asarray(nodes, dtype=np.int64)
+        if not len(idx):
             return np.zeros(0, dtype=np.int64)
-        rank = {ev: r for r, ev in enumerate(self.events)}
-        idx = np.array([[rank[ev] for ev in node] for node in nodes])
         packed = self._packed_bitmaps
         step = max(1, _GATE_BYTES // max(idx.shape[1] * packed.shape[1], 1))
         out = np.empty(len(idx), dtype=np.int64)
@@ -210,10 +210,11 @@ class SequenceDatabase:
 
     @classmethod
     def from_spark(cls, dseq_df, n_seq: int | None = None):
-        """Collect a Spark D_SEQ DataFrame (seq_id, event, start, end)."""
-        return cls.from_pandas(
-            dseq_df.select(*DSEQ_COLUMNS).toPandas(), n_seq
-        )
+        """Collect a Spark D_SEQ DataFrame (seq_id, event, start, end),
+        in a Spark job described as ``seqdb.collect``."""
+        with job_description(dseq_df.sparkSession, "seqdb.collect"):
+            pdf = dseq_df.select(*DSEQ_COLUMNS).toPandas()
+        return cls.from_pandas(pdf, n_seq)
 
     def to_pandas(self) -> pd.DataFrame:
         """Long-format view, the inverse of :meth:`from_pandas`."""

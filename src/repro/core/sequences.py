@@ -19,6 +19,7 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from .collect import job_description
 from .seqdb import DSEQ_COLUMNS  # noqa: F401  (documented output schema)
 
 
@@ -35,14 +36,16 @@ def split_sequences(
 
     ``n_windows`` defaults to the number of *fully covered* windows for
     the observed time extent ``[0, max(end))``:
-    ``floor((T - seq_len) / stride) + 1``.  Windows are 0-indexed and
+    ``floor((T - seq_len) / stride) + 1``, found by an eager Spark job
+    described as ``sequences.n_windows``.  Windows are 0-indexed and
     become the integer ``seq_id``.
     """
     if not 0 <= overlap < seq_len:
         raise ValueError("need 0 <= overlap < seq_len")
     stride = seq_len - overlap
     if n_windows is None:
-        t_total = instances.agg(F.max("end")).collect()[0][0] or 0
+        with job_description(instances.sparkSession, "sequences.n_windows"):
+            t_total = instances.agg(F.max("end")).collect()[0][0] or 0
         n_windows = max(1, (t_total - seq_len) // stride + 1)
 
     s, e = F.col("start"), F.col("end")

@@ -354,7 +354,9 @@ def pruning_ablation(
     median of ``ABLATION_REPEATS`` timed runs of each variant.  The runs
     go in rounds over all four variants, so a change in machine load
     falls on each of them alike, and each starts after a full garbage
-    collection."""
+    collection.  A variant's speedup is the median over rounds of
+    NoPrune's time divided by the variant's time in the same round, so
+    load that shifts a whole round cancels out."""
     rows = []
     for name in datasets:
         ds = load_dataset(spark, name, n_seq=n_seq)
@@ -368,19 +370,19 @@ def pruning_ablation(
                     times.append(
                         time_call(lambda: mine_variant(ds.db, _cfg(s, c), variant))[1]
                     )
-            base = statistics.median(runs["noprune"])
             for variant, times in runs.items():
-                secs = statistics.median(times)
+                ratios = [
+                    base / secs if secs > 0 else math.inf
+                    for base, secs in zip(runs["noprune"], times)
+                ]
                 rows.append(
                     {
                         "dataset": name,
                         "support_pct": s,
                         "conf_pct": c,
                         "variant": variant,
-                        "seconds": round(secs, 3),
-                        "speedup_vs_noprune": round(base / secs, 2)
-                        if secs > 0
-                        else math.inf,
+                        "seconds": round(statistics.median(times), 3),
+                        "speedup_vs_noprune": round(statistics.median(ratios), 2),
                     }
                 )
     return pd.DataFrame(rows)

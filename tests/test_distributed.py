@@ -1,6 +1,7 @@
 """Distributed miner == driver miner, and its L1 + L2 partial-support
 pass == DuckDB oracle."""
 import warnings
+from dataclasses import replace
 
 import pandas as pd
 import pytest
@@ -152,7 +153,16 @@ def _assert_same_result(spark, db, cfg):
     assert got.n_sequences == expected.n_sequences
     for key in ("candidates_l2", "candidates_k"):
         assert got.stats[key] == expected.stats[key], key
-    assert {f"seconds_l{k}" for k in got.node_counts if k >= 2} <= got.stats.keys()
+    levels = [k for k in got.node_counts if k >= 2]
+    assert {f"seconds_l{k}" for k in levels} <= got.stats.keys()
+    # The distributed miner has no bitmaps, so it gates nothing by
+    # Lemmas 2/3: it enumerates what the driver does without the gate.
+    ungated = mine(db, replace(cfg, prune_apriori=False))
+    per_level = [f"enumerated_l{k}" for k in levels]
+    assert [got.stats[key] for key in per_level] == [
+        ungated.stats[key] for key in per_level
+    ]
+    assert sum(got.stats[key] for key in per_level) == got.stats["enumerated_nodes"]
     return got
 
 

@@ -1,18 +1,23 @@
 """Tests for the shared embedding enumeration."""
+import itertools
 from collections import Counter
 from dataclasses import fields
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.enumerate import (
+    RELATION_BIT,
+    Candidates,
     InstanceTable,
+    Keep,
     enumerate_pattern_tuples,
     extend,
 )
-from repro.core.relations import RELATIONS
-from repro.core.seqdb import SequenceDatabase
+from repro.core.model import min_support
+from repro.core.relations import RELATIONS, relation
 
 
 def E(**kw):
@@ -102,21 +107,38 @@ def _rows(sequences):
     ]
 
 
-def _extend_supports(sequences, node, allowed=None, **params):
+def _extend_run(sequences, node, allowed=None, **params):
     """Supports of ``node``'s relation tuples in ``sequences``, built by
-    :func:`extend` one event at a time, keeping every tuple;
-    ``allowed[(i, j)]`` restricts the relation between positions ``i``
-    and ``j`` (default: any)."""
+    :func:`extend` one event at a time, keeping every tuple, and the
+    ``pairs_checked`` of each step; ``allowed[(i, j)]`` restricts the
+    relation between positions ``i`` and ``j`` (default: any)."""
     allowed = allowed or {}
-    table = SequenceDatabase.from_rows(_rows(sequences), n_seq=len(sequences)).table
-    embs, supports = table.singletons(), {}
+    rows = _rows(sequences)
+    events = sorted(set(node) | {row[1] for row in rows})
+    table = InstanceTable.from_columns(
+        *([row[i] for row in rows] for i in range(4)),
+        n_seq=len(sequences),
+        events=events,
+    )
+    ranks = [events.index(ev) for ev in node]
+    embs, prefix, supports, pairs = table.singletons(), ranks[0], {}, []
     for j in range(1, len(node)):
-        allowed_last = [allowed.get((i, j), RELATIONS) for i in range(j)]
-        ext = extend(
-            table, embs, [(node[: j + 1], allowed_last)], keep=lambda n, t: t, **params
+        masks = [
+            sum(RELATION_BIT[r] for r in allowed.get((i, j), RELATIONS))
+            for i in range(j)
+        ]
+        cands = Candidates(
+            np.array([prefix]), np.array([ranks[: j + 1]]), np.array([masks])
         )
-        embs, supports = ext.embeddings, ext.supports[0]
-    return supports
+        ext = extend(table, embs, cands, store=True, **params)
+        embs, prefix = ext.embeddings, 0
+        supports = dict(zip(ext.groups.tuples, ext.groups.supp.tolist()))
+        pairs.append(ext.pairs_checked)
+    return supports, pairs
+
+
+def _extend_supports(sequences, node, allowed=None, **params):
+    return _extend_run(sequences, node, allowed, **params)[0]
 
 
 def _extend_tuples(inst, node, allowed):
@@ -194,12 +216,95 @@ def _sequences(draw):
 )
 def test_extend_supports_equal_dfs(seqs, node, epsilon, d_o, t_max):
     """With every relation allowed, the kernel's per-tuple supports are
-    the depth-first enumeration's tuples counted over sequences."""
+    the depth-first enumeration's tuples counted over sequences, and
+    each step's ``pairs_checked`` is the number of (prefix embedding,
+    instance of the new event in its sequence) pairs, counted before
+    the order key bounds them."""
     params = {"epsilon": epsilon, "d_o": d_o, "t_max": t_max}
     expected = Counter()
     for inst in seqs:
         expected.update(enumerate_pattern_tuples(inst, node, **params))
-    assert _extend_supports(seqs, node, **params) == dict(expected)
+    supports, pairs = _extend_run(seqs, node, **params)
+    assert supports == dict(expected)
+    assert pairs == [
+        sum(
+            _count_embeddings(inst, node[:j], **params) * len(inst.get(node[j], []))
+            for inst in seqs
+        )
+        for j in range(1, len(node))
+    ]
+
+
+def _count_embeddings(inst, node, *, epsilon, d_o, t_max):
+    """The embeddings of ``node`` in one sequence, by brute force over
+    every choice of one instance per event (``t_max`` bounds the span
+    to each later instance, as the extension checks it)."""
+    n = 0
+    for choice in itertools.product(*(inst.get(ev, []) for ev in node)):
+        keys = [(s, -e, ev) for (s, e), ev in zip(choice, node)]
+        n += (
+            all(a < b for a, b in zip(keys, keys[1:]))
+            and (t_max is None or all(e - choice[0][0] <= t_max for _, e in choice[1:]))
+            and all(
+                relation(*choice[i], *choice[j], epsilon, d_o) is not None
+                for j in range(len(node))
+                for i in range(j)
+            )
+        )
+    return n
+
+
+#: Sequences where the order key decides which instance may follow
+#: which: identical intervals of two events, equal starts with the
+#: longer instance first, and duplicate instances of one event.
+ORDER_KEY_CASES = {
+    "identical intervals": [
+        {"A": [(0, 5)], "B": [(0, 5)], "C": [(0, 5), (3, 9)]},
+        {"A": [(2, 4), (6, 8)], "B": [(2, 4)], "C": [(6, 8)]},
+    ],
+    "equal starts": [
+        {"A": [(0, 10)], "B": [(0, 4)], "C": [(0, 10), (0, 4), (0, 7)]},
+        {"A": [(0, 4), (5, 9)], "B": [(0, 9), (5, 12)], "C": [(5, 9)]},
+    ],
+    "duplicate instances": [
+        {"A": [(0, 5), (0, 5), (2, 3)], "B": [(0, 5)]},
+        {"A": [(1, 4), (1, 4), (1, 4)], "B": [(1, 4), (6, 7)]},
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORDER_KEY_CASES))
+@pytest.mark.parametrize("k", [2, 3])
+def test_order_key_bound_equals_dfs(case, k):
+    """On sequences whose instances tie in start, or in start and end,
+    the supports of every 2- and 3-event node, in every rank order and
+    with repeated events, are the depth-first enumeration's."""
+    seqs = ORDER_KEY_CASES[case]
+    for node in itertools.product("ABC", repeat=k):
+        expected = Counter()
+        for inst in seqs:
+            expected.update(enumerate_pattern_tuples(inst, node))
+        assert _extend_supports(seqs, node) == dict(expected), node
+
+
+def test_keep_is_the_ratio_test_of_mining():
+    """The array keep is ``supp >= min_support and supp / top >= delta``,
+    as the level loop has always read it, on every support up to the
+    top: at σ's ceiling boundary, and at δ = 0.28 with top 25, where
+    7/25 passes although 0.28 * 25 > 7."""
+    assert 0.28 * 25 > 7
+    for sigma, n, delta in [(0.75, 4, 0.5), (0.7, 4, 0.5), (0.2, 25, 0.28)]:
+        ms = min_support(sigma, n)
+        top = np.arange(1, 31)
+        cand, supp = np.divmod(np.arange(30 * 31), 31)
+        keep = Keep(ms, delta, top)
+        expected = [s >= ms and s / top[c] >= delta for c, s in zip(cand, supp)]
+        assert keep.mask(cand, supp).tolist() == expected
+    assert min_support(0.75, 4) == 3
+    keep = Keep(min_support(0.75, 4), 0.28, np.array([25]))
+    assert keep.mask(np.zeros(4, int), np.array([2, 3, 6, 7])).tolist() == [
+        False, False, False, True,
+    ]
 
 
 def _table(rows, n_seq):

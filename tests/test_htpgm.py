@@ -260,3 +260,25 @@ def test_per_level_counters_repeat():
         kept = counts[0][f"embeddings_kept_l{k}"]
         assert 0 <= kept <= counts[0][f"pairs_checked_l{k}"]
         assert (kept > 0) == (k < 4 and runs[0].node_counts[k] > 0)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_confidence_exactly_delta_is_kept(variant):
+    """A pattern whose confidence equals δ is kept, also where δ times
+    the top support rounds above the pattern's support: 7/25 = 0.28
+    although 0.28 * 25 > 7.  The Lemma 2/3 gate passes it too."""
+    rows = [(s, "A", 0, 2) for s in range(25)] + [(s, "B", 5, 7) for s in range(7)]
+    db = SequenceDatabase.from_rows(rows)
+    key = (("A", "B"), ("F",))
+    assert mine_variant(db, cfg(sigma=0.2, delta=0.28, max_k=2), variant).patterns == {
+        key: 7
+    }
+    assert mine_variant(db, cfg(sigma=0.2, delta=0.2801, max_k=2), variant).patterns == {}
+
+
+def test_enumerated_per_level_sums_to_enumerated_nodes():
+    db = random_db(seed=4, n_seq=20, n_vars=5)
+    for variant in VARIANTS:
+        r = mine_variant(db, cfg(sigma=0.4, delta=0.4, max_k=4), variant)
+        per_level = [r.stats[f"enumerated_l{k}"] for k in (2, 3, 4)]
+        assert sum(per_level) == r.stats["enumerated_nodes"]

@@ -43,14 +43,16 @@ def test_group_bitmap_and_support():
 
 @pytest.mark.parametrize("gate_bytes", [seqdb._GATE_BYTES, 1])
 def test_group_supports_match_group_support(monkeypatch, gate_bytes):
-    """The batched count equals the one-node count, over 70 sequences
-    (bitmaps of 9 packed bytes, the last one partial), in one batch and
-    in one batch per node."""
+    """The batched count of nodes given as event ranks equals the
+    one-node count, over 70 sequences (bitmaps of 9 packed bytes, the
+    last one partial), in one batch and in one batch per node."""
     monkeypatch.setattr(seqdb, "_GATE_BYTES", gate_bytes)
     db = random_db(seed=5, n_seq=70, n_vars=5)
     for k in (2, 3):
         nodes = list(itertools.product(db.events, repeat=k))
-        got = db.group_supports(nodes)
+        got = db.group_supports(
+            [[db.events.index(ev) for ev in node] for node in nodes]
+        )
         assert got.tolist() == [db.group_support(node) for node in nodes]
     assert db.group_supports([]).tolist() == []
 
@@ -140,3 +142,37 @@ def test_check_dseq_frame_reports_first_bad_row(rows):
     with pytest.raises(ValueError) as got:
         check_dseq_frame(pdf)
     assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("caller", [None, "caller's job"])
+def test_from_spark_describes_its_collect(spark, monkeypatch, caller):
+    """The D_SEQ collect runs as ``seqdb.collect``; the caller's
+    description is back after a run that succeeds and one that raises,
+    and the job group is untouched."""
+    sc = spark.sparkContext
+    db = kitchen_db()
+    dseq = spark.createDataFrame(db.to_pandas())
+    seen = []
+    to_pandas = type(dseq).toPandas
+
+    def spy(df):
+        seen.append(sc.getLocalProperty("spark.job.description"))
+        if len(seen) > 1:
+            raise RuntimeError("collect failed")
+        return to_pandas(df)
+
+    monkeypatch.setattr(type(dseq), "toPandas", spy)
+    sc.setJobGroup("caller-group", "caller's group")
+    sc.setLocalProperty("spark.job.description", caller)
+    try:
+        assert SequenceDatabase.from_spark(dseq).event_supports() == db.event_supports()
+        assert seen == ["seqdb.collect"]
+        assert sc.getLocalProperty("spark.job.description") == caller
+        with pytest.raises(RuntimeError, match="collect failed"):
+            SequenceDatabase.from_spark(dseq)
+        assert seen == ["seqdb.collect"] * 2
+        assert sc.getLocalProperty("spark.job.description") == caller
+        assert sc.getLocalProperty("spark.jobGroup.id") == "caller-group"
+    finally:
+        sc.setLocalProperty("spark.job.description", None)
+        sc.setLocalProperty("spark.jobGroup.id", None)

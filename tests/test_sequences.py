@@ -114,3 +114,36 @@ def test_build_dseq_end_to_end(spark):
         (1, "x:On", 0, 2),
         (1, "x:Off", 2, 4),
     }
+
+
+@pytest.mark.parametrize("caller", [None, "caller's job"])
+def test_n_windows_job_is_described(spark, monkeypatch, caller):
+    """The eager ``n_windows`` job runs as ``sequences.n_windows``; the
+    caller's description is back after a run that succeeds and one that
+    raises, and the job group is untouched."""
+    sc = spark.sparkContext
+    df = _spark_instances(spark, CASES[0][0])
+    seen = []
+    collect = type(df).collect
+
+    def spy(self):
+        seen.append(sc.getLocalProperty("spark.job.description"))
+        if len(seen) > 1:
+            raise RuntimeError("collect failed")
+        return collect(self)
+
+    monkeypatch.setattr(type(df), "collect", spy)
+    sc.setJobGroup("caller-group", "caller's group")
+    sc.setLocalProperty("spark.job.description", caller)
+    try:
+        split_sequences(df, seq_len=10)
+        assert seen == ["sequences.n_windows"]
+        assert sc.getLocalProperty("spark.job.description") == caller
+        with pytest.raises(RuntimeError, match="collect failed"):
+            split_sequences(df, seq_len=10)
+        assert seen == ["sequences.n_windows"] * 2
+        assert sc.getLocalProperty("spark.job.description") == caller
+        assert sc.getLocalProperty("spark.jobGroup.id") == "caller-group"
+    finally:
+        sc.setLocalProperty("spark.job.description", None)
+        sc.setLocalProperty("spark.jobGroup.id", None)

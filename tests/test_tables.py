@@ -127,6 +127,28 @@ def test_pruning_ablation_variants(spark):
     assert (df["seconds"] >= 0).all()
 
 
+def test_pruning_ablation_speedup_is_median_of_round_ratios(monkeypatch):
+    """Each speedup is the median over rounds of NoPrune's time over
+    the variant's time in the same round, not a ratio of medians: with
+    NoPrune at 1, 4, 2 s and the variant at 2, 2, 1 s the ratios are
+    0.5, 2, 2 (median 2), while the medians' ratio would be 1."""
+    times = {"noprune": [1.0, 4.0, 2.0], "apriori": [2.0, 2.0, 1.0]}
+    times["trans"] = times["all"] = [1.0, 4.0, 2.0]
+    calls = iter(
+        [times[v][r] for r in range(3) for v in ("noprune", "apriori", "trans", "all")]
+    )
+    monkeypatch.setattr(tables, "load_dataset", lambda *a, **kw: None)
+    monkeypatch.setattr(tables, "time_call", lambda fn: (None, next(calls)))
+    df = tables.pruning_ablation(None, datasets=("nist",), grid=((50, 50),))
+    got = dict(zip(df["variant"], zip(df["seconds"], df["speedup_vs_noprune"])))
+    assert got == {
+        "noprune": (2.0, 1.0),
+        "apriori": (2.0, 2.0),
+        "trans": (2.0, 1.0),
+        "all": (2.0, 1.0),
+    }
+
+
 def test_format_table_renders_markdown():
     import pandas as pd
 
