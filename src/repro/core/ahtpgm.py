@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 import pandas as pd
 
 from . import mi as mi_mod
@@ -71,16 +72,16 @@ def mine_approx(
     cfg: MiningConfig,
 ) -> MiningResult:
     """Run A-HTPGM: E-HTPGM restricted to the correlation graph."""
-    correlated = graph.variables
-
-    def edge_filter(ei: str, ej: str) -> bool:
-        vi, vj = event_var(ei), event_var(ej)
-        if vi not in correlated or vj not in correlated:
-            return False
-        return graph.has_edge(vi, vj)
-
-    restricted = _restrict_db(db, correlated)
-    return mine(restricted, cfg, edge_filter=edge_filter)
+    restricted = _restrict_db(db, graph.variables)
+    # Every event left is of a correlated variable: look each one's
+    # variable up once, and gate the L2 pairs by the graph's adjacency.
+    variables = sorted(graph.variables)
+    var = np.searchsorted(variables, [event_var(e) for e in restricted.events])
+    adjacent = np.eye(len(variables), dtype=bool)
+    for edge in graph.edges:
+        ends = np.searchsorted(variables, sorted(edge))
+        adjacent[np.ix_(ends, ends)] = True
+    return mine(restricted, cfg, edge_mask=adjacent[np.ix_(var, var)])
 
 
 def _restrict_db(db: SequenceDatabase, variables: set[str]) -> SequenceDatabase:

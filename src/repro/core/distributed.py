@@ -1,74 +1,85 @@
 """Distributed HTPGM over sequence partitions.
 
-The paper's miner is single-machine; the reproduction's distributed
-variant runs the level loop of the driver miner,
-:func:`repro.core.htpgm.mine_levels`, on the driver and all embedding
-work on the executors, partitioned by sequence:
+The level loop of the driver miner, :func:`repro.core.htpgm.mine_levels`,
+runs on the driver and all embedding work on the executors.  ``D_SEQ``
+is hash-partitioned by ``seq_id`` once (the only shuffle) and cached:
+every sequence lies in one partition, so a support (a count of
+sequences) is the exact sum of the partitions' partial supports.
 
-* **Partitioning** — ``D_SEQ`` is hash-partitioned by ``seq_id`` once
-  (the only shuffle) and cached.  Every sequence lies whole in exactly
-  one partition.
-* **L1 + L2 pass** — one ``mapInPandas`` over the partitions checks
-  every row (:func:`repro.core.seqdb.check_dseq_frame`, the checks of
-  :func:`repro.core.seqdb.check_dseq_row` over the whole Arrow batch),
-  builds the partition's :class:`repro.core.enumerate.InstanceTable`
-  straight from the batch columns and emits partial counts,
-  pre-aggregated per partition: ``max(seq_id) + 1``, event supports,
-  and ``(event_i, event_j, rel)`` supports from one
-  :func:`repro.core.enumerate.extend` call over every event pair.  The
-  level loop takes its L1 and L2 counts from their sums.
-* **Lk pass, one per level** — the level loop derives the level's
-  candidates as arrays (:class:`repro.core.enumerate.Candidates`); they
-  travel to the executors in the task closure with the green nodes of
-  levels 2..k-1, in the same form, each allowed to the relations of
-  its kept tuples, and the sorted event list, by which each partition
-  ranks its events.  A ``mapInPandas`` rebuilds the embeddings of those
-  green nodes in its partition, one ``extend`` call per level, with
-  the same columnar kernel as the driver miner, and emits partial
-  ``(candidate, rels)`` counts of level k.  The driver sums them and
-  keeps the tuples that pass (σ, δ) with the loop's array filter.  A
-  level with no candidate runs no pass.
+**One pass**, :func:`partial_supports`, a ``mapInPandas``, runs for
+L1 + L2 before the loop (its Spark jobs described as
+``distributed.l12``) and for each level k >= 3 with candidates
+(``distributed.l{k}``).  Each partition checks its rows
+(:func:`repro.core.seqdb.check_dseq_frame`), builds its
+:class:`repro.core.enumerate.InstanceTable`, replays the green nodes of
+the earlier levels, each allowed the relations of its kept tuples, with
+one :func:`repro.core.enumerate.extend` call per level, and counts the
+level with one more.
 
-Support counts sequences, and no sequence spans two partitions, so a
-support is the exact sum of the per-partition counts and the driver
-adds them up: no ``countDistinct`` and no further shuffle.  The
-sequence count is the largest ``max(seq_id) + 1``, as in
-:meth:`repro.core.seqdb.SequenceDatabase.from_rows`, so empty sequences
-inside the id range count.  The Spark jobs of the L1 + L2 pass are
-described as ``distributed.l12`` and those of level k as
-``distributed.l{k}``; the caller's job description is restored after
-each.  There are no bitmaps here, so
-``prune_apriori`` (Lemmas 2/3) gates nothing.  Results are identical to
-the driver miner (tested).
+**One schema**, :data:`PARTIALS_SCHEMA`: one row per non-empty
+partition, with its groups as integer list columns (candidate, relation
+tuple, partial support, and the embeddings realizing the group, since
+which ones a level keeps depends on global supports), the (row,
+instance) pairs checked and ``max(seq_id) + 1``.  The driver sums the
+groups with ``np.unique`` and ``np.add.at`` (:func:`sum_partials`),
+keeps them with the loop's σ/δ filter, builds the kept-relation
+bitmasks with one ``np.bitwise_or.at`` and decodes names for kept
+groups alone.  The sequence count is the largest ``max(seq_id) + 1``,
+so empty sequences inside the id range count.  Two decisions:
+
+* **Event keys at L1 + L2.**  The global event list does not exist
+  before this pass, and learning it first would cost a Spark job.  Each
+  partition counts every ordered pair ``(a, b)`` of its own sorted
+  events as candidate ``a * len(events) + b`` and ships the list once,
+  in ``events``; one ``np.unique`` over the concatenated lists maps
+  every partition's ranks to global ones (:func:`level12`).  Later
+  passes rank by the global list, in the task closure with the plan.
+* **Relation-tuple code.**  A tuple of k events travels as its
+  k(k-1)/2 relations, each an int8 index into
+  :data:`repro.core.relations.RELATIONS`, flattened into one list
+  column: the same in every partition, and no bound on ``max_k``.
+
+``stats`` add ``seconds_l12_pass`` (the L1 + L2 pass and its sums; the
+loop's ``seconds_l2`` covers only L2's bookkeeping, ``seconds_l{k}``,
+k >= 3, includes the pass) and the driver miner's counters, summed over
+partitions.  There are no bitmaps here, so ``prune_apriori`` gates
+nothing; against the driver miner without the Lemma 2/3 gate:
+
+* ``embeddings_kept_l{k}`` is equal, as a kept tuple's prefix is kept;
+* ``pairs_checked_l2`` is larger unless every event is frequent: the
+  L1 + L2 pass tries every event pair;
+* ``pairs_checked_l3`` is equal: an L2 tuple is one relation, so the
+  L2 replay is exact;
+* ``pairs_checked_l{k}``, k >= 4, may be larger: a replayed row may
+  realize a tuple that was not kept, when its relations came from
+  different kept tuples.  No extension of it passes (σ, δ), as its
+  support and confidence are at most its own, but its pairs are checked.
+
+Results are identical to the driver miner (tested).
 """
 from __future__ import annotations
 
-from collections import Counter
-from itertools import compress
+import time
+from collections.abc import Sequence
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from .collect import arrow_collect, job_description
-from .enumerate import (
-    ALL_RELATIONS,
-    RELATION_BIT,
-    Candidates,
-    Groups,
-    InstanceTable,
-    extend,
-)
+from .enumerate import ALL_RELATIONS, Candidates, Groups, InstanceTable, extend
 from .htpgm import Count, MiningConfig, mine_levels
 from .model import EventId, MiningResult
+from .relations import RELATIONS
 from .seqdb import DSEQ_COLUMNS, check_dseq_frame
 
-#: Rows of the L1 + L2 pass.  ``(NULL, NULL, NULL, n)`` carries the
-#: partition's ``max(seq_id) + 1``, ``(event, NULL, NULL, supp)`` an
-#: event support and ``(event_i, event_j, rel, supp)`` a 2-event
-#: pattern support; every count is partial to one partition.
-LEVEL12_SCHEMA = "event_i string, event_j string, rel string, supp long"
-_LEVEL_K_SCHEMA = "node long, rels string, supp long"
+#: One row per non-empty partition; every count is partial to it.
+PARTIALS_SCHEMA = (
+    "events array<string>, event_supp array<long>, cand array<long>, "
+    "rels array<tinyint>, supp array<long>, rows array<long>, "
+    "pairs_checked long, n long"
+)
+_RELATIONS = np.array(RELATIONS)
 
 
 def partition_sequences(dseq: DataFrame) -> DataFrame:
@@ -78,147 +89,141 @@ def partition_sequences(dseq: DataFrame) -> DataFrame:
     return dseq.select(*DSEQ_COLUMNS).repartition(n_parts, "seq_id")
 
 
-def _table(batches, events=None) -> tuple[InstanceTable, int] | None:
-    """One partition's rows as an instance table whose ranks index
-    ``events`` (default: the partition's own events), with its
-    ``max(seq_id) + 1``; ``None`` for an empty partition.  A row that
-    fails :func:`repro.core.seqdb.check_dseq_row` raises ``ValueError``."""
-    frames = [pdf for pdf in batches if not pdf.empty]
-    if not frames:
-        return None
-    pdf = pd.concat(frames, ignore_index=True)
-    check_dseq_frame(pdf)
-    table = InstanceTable.from_columns(
-        *(pdf[c].to_numpy() for c in DSEQ_COLUMNS), events=events
-    )
-    return table, int(pdf["seq_id"].max()) + 1
-
-
-def level12_partial_supports(
-    parts: DataFrame, *, epsilon: int = 0, d_o: int = 1, t_max: int | None = None
-) -> DataFrame:
-    """The L1 + L2 pass over sequence partitions (see ``LEVEL12_SCHEMA``)."""
-
-    def count(batches):
-        built = _table(batches)
-        if built is None:
-            return
-        table, n = built
-        ranks = np.arange(len(table.events))
-        pairs = np.column_stack(
-            (np.repeat(ranks, len(ranks)), np.tile(ranks, len(ranks)))
-        )
-        cands = Candidates(pairs[:, 0], pairs, np.full((len(pairs), 1), ALL_RELATIONS))
-        groups = extend(
-            table, table.singletons(), cands, epsilon=epsilon, d_o=d_o, t_max=t_max
-        ).groups
-        ev = table.events
-        rows = [(None, None, None, n)]
-        rows += [(e, None, None, c) for e, c in table.supports().items()]
-        rows += [
-            (ev[pairs[c, 0]], ev[pairs[c, 1]], r, s)
-            for c, (r,), s in zip(
-                groups.cand.tolist(), groups.tuples, groups.supp.tolist()
-            )
-        ]
-        yield pd.DataFrame(rows, columns=["event_i", "event_j", "rel", "supp"])
-
-    return parts.mapInPandas(count, LEVEL12_SCHEMA)
-
-
-def _level_k_partial_supports(
+def partial_supports(
     parts: DataFrame,
-    events: list[EventId],
-    plan: list[Candidates],
-    cands: Candidates,
     cfg: MiningConfig,
+    events: list[EventId] | None = None,
+    plan: Sequence[Candidates] = (),
 ) -> DataFrame:
-    """Partial ``(candidate index, comma-joined rels)`` supports of one
-    level.  ``plan[j]`` holds the green nodes of level ``j + 2`` as
-    candidates, each prefix an index into the previous entry (into
-    ``events`` for level 2) and each allowed mask the relations of its
-    kept tuples; ``cands`` extend the last entry."""
+    """One pass over sequence partitions (see :data:`PARTIALS_SCHEMA`).
+
+    Without ``events``, the L1 + L2 pass.  With them, the pass of the
+    level of ``plan[-1]``: ``plan[j]`` holds the nodes of level
+    ``j + 2`` as candidates, each prefix an index into the previous
+    entry (into ``events`` for level 2); all but the last are replayed.
+    A row that fails :func:`repro.core.seqdb.check_dseq_row` raises
+    ``ValueError``."""
     params = {"epsilon": cfg.epsilon, "d_o": cfg.d_o, "t_max": cfg.t_max}
 
     def count(batches):
-        built = _table(batches, events)
-        if built is None:
+        frames = [pdf for pdf in batches if not pdf.empty]
+        if not frames:
             return
-        table, _ = built
+        pdf = pd.concat(frames, ignore_index=True)
+        check_dseq_frame(pdf)
+        table = InstanceTable.from_columns(
+            *(pdf[c].to_numpy() for c in DSEQ_COLUMNS), events=events
+        )
+        own, levels = events is None, plan
+        if own:
+            a, b = np.divmod(np.arange(len(table.events) ** 2), len(table.events))
+            every = np.full((len(a), 1), ALL_RELATIONS)
+            levels = [Candidates(a, np.column_stack((a, b)), every)]
         embs = table.singletons()
-        for level in plan:
+        for level in levels[:-1]:
             embs = extend(table, embs, level, store=True, **params).embeddings
-        groups = extend(table, embs, cands, **params).groups
-        rows = [
-            (c, ",".join(t), s)
-            for c, t, s in zip(groups.cand.tolist(), groups.tuples, groups.supp.tolist())
-        ]
-        if rows:
-            yield pd.DataFrame(rows, columns=["node", "rels", "supp"])
+        ext = extend(table, embs, levels[-1], **params)
+        rels = np.array(ext.groups.tuples, dtype=str).reshape(-1, 1) == _RELATIONS
+        yield pd.DataFrame(
+            {
+                "events": [table.events if own else []],
+                "event_supp": [list(table.supports().values()) if own else []],
+                "cand": [ext.groups.cand],
+                "rels": [rels.argmax(axis=1).astype(np.int8)],
+                "supp": [ext.groups.supp],
+                "rows": [ext.groups.rows],
+                "pairs_checked": [ext.pairs_checked],
+                "n": [int(pdf["seq_id"].max()) + 1],
+            }
+        )
 
-    return parts.mapInPandas(count, _LEVEL_K_SCHEMA)
+    return parts.mapInPandas(count, PARTIALS_SCHEMA)
+
+
+def _flat(pdf: pd.DataFrame, column: str, dtype=np.int64) -> np.ndarray:
+    """The lists of ``column``, concatenated over partitions."""
+    return np.concatenate([np.zeros(0, dtype), *pdf[column]]).astype(dtype)
+
+
+def _groups(pdf: pd.DataFrame, k: int) -> tuple[np.ndarray, ...]:
+    """The groups of a pass's rows over candidates of ``k`` events:
+    candidate, relation codes (one row per group), support, rows."""
+    rels = _flat(pdf, "rels", np.int8).reshape(-1, k * (k - 1) // 2)
+    return _flat(pdf, "cand"), rels, _flat(pdf, "supp"), _flat(pdf, "rows")
+
+
+def sum_partials(cand, rels, supp, rows) -> tuple[np.ndarray, ...]:
+    """Partial groups summed: per distinct (candidate, relation codes),
+    in sorted order, the candidate, the codes, the support and the rows."""
+    keys, group = np.unique(np.column_stack((cand, rels)), axis=0, return_inverse=True)
+    sums = np.zeros((2, len(keys)), dtype=np.int64)
+    np.add.at(sums[0], group.reshape(-1), supp)
+    np.add.at(sums[1], group.reshape(-1), rows)
+    return keys[:, 0], keys[:, 1:], *sums
+
+
+def level12(pdf: pd.DataFrame) -> tuple[int, dict[EventId, int], tuple]:
+    """The rows of the L1 + L2 pass on the driver: the sequence count,
+    the event supports and the partial 2-event groups, pair ``(a, b)``
+    of global event ranks as candidate ``a * len(events) + b``."""
+    events, rank = np.unique(_flat(pdf, "events", object), return_inverse=True)
+    supports = np.zeros(len(events), dtype=np.int64)
+    np.add.at(supports, rank, _flat(pdf, "event_supp"))
+    # A partition's candidate a * m + b, with m its number of events,
+    # names its ranks a and b, at offset ``base`` in the concatenated lists.
+    m, n_groups = pdf["events"].map(len).to_numpy(), pdf["supp"].map(len).to_numpy()
+    base = np.repeat(np.cumsum(m) - m, n_groups)
+    cand, *groups = _groups(pdf, 2)
+    a, b = np.divmod(cand, np.repeat(m, n_groups))
+    pairs = (rank[base + a] * len(events) + rank[base + b], *groups)
+    n = int(pdf["n"].max()) if len(pdf) else 0
+    return n, dict(zip(events.tolist(), supports.tolist())), pairs
 
 
 def _partitioned_count(
-    parts: DataFrame,
-    events: list[EventId],
-    pair_counts: dict[tuple[EventId, EventId], Counter],
-    cfg: MiningConfig,
+    parts: DataFrame, events: list[EventId], pairs: tuple, checked: int, cfg: MiningConfig
 ) -> Count:
-    """The distributed miner's counting for :func:`mine_levels`: L2
-    from the sums of the L1 + L2 pass, Lk from one pass per level.
-
-    The passes replay the green nodes of every earlier level, each
-    extension restricted to the relations of the node's kept tuples.
-    A replayed row may realize a tuple that was not kept when its
-    relations came from different kept tuples, but no extension of it
-    passes (σ, δ), as its support and confidence are at most its
-    own; at L2, where a tuple is one relation, the replay is exact."""
-    # Per counted level: its green nodes as candidates, and their
-    # indices among that level's candidates.
-    levels: list[tuple[Candidates, np.ndarray]] = []
+    """The distributed miner's counting for :func:`mine_levels`: L2 from
+    the 2-event groups ``pairs`` of :func:`level12`, whose pass checked
+    ``checked`` (row, instance) pairs, Lk from one pass per level."""
+    # The green nodes of the counted levels, each prefix an index into
+    # the previous entry, and the last entry's indices among its level's
+    # candidates.
+    plan: list[Candidates] = []
+    ids = None
 
     def count(cands, keep, stats):
+        nonlocal ids
         k = cands.nodes.shape[1]
-        counts: Counter = Counter()
+        stats[f"pairs_checked_l{k}"] = stats[f"embeddings_kept_l{k}"] = 0
+        if not len(cands.prefix):
+            empty = np.zeros(0, dtype=np.int64)
+            return Groups(empty, [], empty, empty)
         if k == 2:
-            for c, (a, b) in enumerate(cands.nodes.tolist()):
-                for t, s in pair_counts.get((events[a], events[b]), {}).items():
-                    counts[c, t] = s
-        elif len(cands.prefix):
-            plan, prev = [], None
-            for green, ids in levels:
-                if prev is not None:
-                    green = green._replace(prefix=np.searchsorted(prev, green.prefix))
-                plan.append(green)
-                prev = ids
-            last = cands._replace(prefix=np.searchsorted(prev, cands.prefix))
-            partials = _level_k_partial_supports(parts, events, plan, last, cfg)
+            index = np.full(len(events) ** 2, -1)
+            index[cands.nodes @ [len(events), 1]] = np.arange(len(cands.prefix))
+            cand = index[pairs[0]]
+            groups = [col[cand >= 0] for col in (cand, *pairs[1:])]
+            stats["pairs_checked_l2"] = checked
+        else:
+            cands = cands._replace(prefix=np.searchsorted(ids, cands.prefix))
+            passed = partial_supports(parts, cfg, events, plan + [cands])
             with job_description(parts.sparkSession, f"distributed.l{k}"):
-                rows = _rows(partials)
-            for c, rels, s in rows:
-                counts[c, tuple(rels.split(","))] += s
-        keys = sorted(counts)
-        cand = np.array([c for c, _ in keys], dtype=np.int64)
-        supp = np.array([counts[key] for key in keys], dtype=np.int64)
+                pdf = arrow_collect(passed)
+            groups = _groups(pdf, k)
+            stats[f"pairs_checked_l{k}"] = int(pdf["pairs_checked"].sum())
+        cand, rels, supp, rows = sum_partials(*groups)
         kept = keep.mask(cand, supp)
-        tuples = list(compress((t for _, t in keys), kept))
-        groups = Groups(cand[kept], tuples, supp[kept])
-        ids = np.unique(groups.cand)
+        cand, rels, supp, rows = cand[kept], rels[kept], supp[kept], rows[kept]
+        if k < cfg.max_k:  # as the driver miner, which stores no last level
+            stats[f"embeddings_kept_l{k}"] = int(rows.sum())
         bits = np.zeros((len(cands.prefix), k - 1), dtype=np.int64)
-        for c, t in zip(groups.cand.tolist(), groups.tuples):
-            for i, r in enumerate(t[-(k - 1) :]):
-                bits[c, i] |= RELATION_BIT[r]
-        levels.append((cands._replace(allowed=bits).take(ids), ids))
-        return groups
+        np.bitwise_or.at(bits, (cand[:, None], np.arange(k - 1)), 1 << rels[:, 1 - k :])
+        ids = np.unique(cand)
+        plan.append(cands._replace(allowed=bits).take(ids))
+        return Groups(cand, list(map(tuple, _RELATIONS[rels].tolist())), supp, rows)
 
     return count
-
-
-def _rows(df: DataFrame):
-    """The rows of a small result as tuples of Python values."""
-    pdf = arrow_collect(df)
-    return zip(*(pdf[c].tolist() for c in pdf.columns))
 
 
 def mine_distributed(
@@ -227,22 +232,16 @@ def mine_distributed(
     """Sequence-partitioned HTPGM; same output as :func:`htpgm.mine`."""
     parts = partition_sequences(dseq).cache()
     try:
-        n = 0
-        supports: dict[EventId, int] = Counter()
-        pair_counts: dict[tuple[EventId, EventId], Counter] = {}
-        partials = level12_partial_supports(
-            parts, epsilon=cfg.epsilon, d_o=cfg.d_o, t_max=cfg.t_max
-        )
+        t0 = time.perf_counter()
+        passed = partial_supports(parts, cfg)
         with job_description(spark, "distributed.l12"):
-            rows = _rows(partials)
-        for ei, ej, rel, supp in rows:
-            if ei is None:
-                n = max(n, supp)
-            elif ej is None:
-                supports[ei] += supp
-            else:
-                pair_counts.setdefault((ei, ej), Counter())[(rel,)] += supp
-        count = _partitioned_count(parts, sorted(supports), pair_counts, cfg)
-        return mine_levels(n, supports, cfg, count)
+            l12 = arrow_collect(passed)
+        n, supports, pairs = level12(l12)
+        seconds = time.perf_counter() - t0
+        checked = int(l12["pairs_checked"].sum())
+        count = _partitioned_count(parts, sorted(supports), pairs, checked, cfg)
+        result = mine_levels(n, supports, cfg, count)
+        result.stats["seconds_l12_pass"] = seconds
+        return result
     finally:
         parts.unpersist()

@@ -347,11 +347,13 @@ class Keep(NamedTuple):
 class Groups(NamedTuple):
     """Counted (candidate, relation tuple) groups, sorted by candidate:
     group ``g`` is tuple ``tuples[g]`` of candidate ``cand[g]``,
-    supported by ``supp[g]`` sequences."""
+    supported by ``supp[g]`` sequences and realized by ``rows[g]``
+    embeddings."""
 
     cand: np.ndarray
     tuples: list[tuple[str, ...]]
     supp: np.ndarray
+    rows: np.ndarray
 
 
 class Extension(NamedTuple):
@@ -404,7 +406,7 @@ def extend(
     n_cand, k = cands.nodes.shape
     if n_cand == 0:
         empty = np.zeros(0, np.int64)
-        return Extension(Groups(empty, [], empty), None, 0)
+        return Extension(Groups(empty, [], empty, empty), None, 0)
     lo = embs.lo[cands.prefix]
     lens = embs.hi[cands.prefix] - lo
     # Equal (start, -end) orders by event rank: the new instance must
@@ -415,7 +417,7 @@ def extend(
     n_seq = max(table.n_seq, 1)
 
     pairs_checked = 0
-    kept_cand, kept_supp, kept_tuples = [], [], []
+    kept_cand, kept_supp, kept_rows, kept_tuples = [], [], [], []
     kept_parts = [(np.zeros(0, np.int64),) * 4]
     for c0, c1 in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         cand = np.repeat(np.arange(c0, c1), lens[c0:c1])
@@ -436,6 +438,7 @@ def extend(
         new_seq[1:] |= sorted_seq[1:] != sorted_seq[:-1]
         starts = np.flatnonzero(new_group)
         supp = np.add.reduceat(new_seq, starts, dtype=np.int64)
+        group_rows = np.diff(starts, append=len(order))
         rep = order[starts]
         group_cand = cand[rep]
         kept = (
@@ -445,6 +448,7 @@ def extend(
         )
         kept_cand.append(group_cand[kept])
         kept_supp.append(supp[kept])
+        kept_rows.append(group_rows[kept])
         n_before = len(kept_tuples)
         krep = rep[kept]
         kept_tuples += _decode(table, embs, prow[krep], inst[krep], k, epsilon, d_o)
@@ -458,6 +462,7 @@ def extend(
         np.concatenate(kept_cand or [np.zeros(0, np.int64)]),
         kept_tuples,
         np.concatenate(kept_supp or [np.zeros(0, np.int64)]),
+        np.concatenate(kept_rows or [np.zeros(0, np.int64)]),
     )
     if not store:
         return Extension(groups, None, pairs_checked)

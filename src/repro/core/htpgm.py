@@ -7,7 +7,7 @@ both run it:
 
 * **L1** — frequent single events.
 * **L2** — candidates are the ordered event pairs of ``1Freq × 1Freq``
-  (self-pairs included), gated by ``edge_filter``.
+  (self-pairs included), gated by ``edge_mask``.
 * **Lk** — candidates extend green ``L_{k-1}`` nodes by one event.  With
   transitivity pruning (Lemmas 4–7) the new event must itself occur in
   a green ``L_{k-1}`` node (``Filtered1Freq``), every pair
@@ -51,8 +51,10 @@ Besides the per-level records of :class:`repro.core.model.MiningResult`,
 ``candidates_k`` and ``enumerated_nodes`` summed over levels,
 ``seconds_l{k}`` (wall time of level ``k``) and ``enumerated_l{k}``
 (its candidates that pass the gate; they sum to ``enumerated_nodes``)
-for every mined level, and, from the driver's counting,
-``pairs_checked_l{k}`` and ``embeddings_kept_l{k}``.
+for every mined level, and, from the counting function,
+``pairs_checked_l{k}`` and ``embeddings_kept_l{k}``: the driver's
+counts them as it extends, the distributed miner sums them over its
+partitions (see :mod:`repro.core.distributed`).
 """
 from __future__ import annotations
 
@@ -107,7 +109,7 @@ def mine(
     db: SequenceDatabase,
     cfg: MiningConfig,
     *,
-    edge_filter=None,
+    edge_mask: np.ndarray | None = None,
 ) -> MiningResult:
     """Run (E-)HTPGM on ``db``.
 
@@ -116,9 +118,11 @@ def mine(
     ``cfg.prune_trans`` only change the candidates :func:`mine_levels`
     admits.
 
-    ``edge_filter(ev_i, ev_j) -> bool``, when given, additionally gates
-    which L2 event pairs are considered — the hook through which
-    A-HTPGM plugs in its correlation graph (paper Alg. 2 lines 9-11).
+    ``edge_mask``, when given, additionally gates which L2 event pairs
+    are considered: an events × events bool array over ``db.events``,
+    true where the pair ``(E_i, E_j)`` may be mined — the hook through
+    which A-HTPGM plugs in its correlation graph (paper Alg. 2 lines
+    9-11).
     """
     return mine_levels(
         db.n_seq,
@@ -126,7 +130,7 @@ def mine(
         cfg,
         _count_embeddings(db, cfg),
         group_supports=db.group_supports,
-        edge_filter=edge_filter,
+        edge_mask=edge_mask,
     )
 
 
@@ -137,7 +141,7 @@ def mine_levels(
     count: Count,
     *,
     group_supports: Callable[[np.ndarray], np.ndarray] | None = None,
-    edge_filter: Callable[[EventId, EventId], bool] | None = None,
+    edge_mask: np.ndarray | None = None,
 ) -> MiningResult:
     """The level-wise HPG walk over ``n`` sequences with event ``supports``.
 
@@ -157,7 +161,8 @@ def mine_levels(
     holding every event of each row of an (n, k) array of events; with
     ``cfg.prune_apriori`` it gates the candidates by Lemmas 2/3, one
     call per level over the candidates the other rules admit.
-    ``edge_filter`` gates the L2 pairs, as in :func:`mine`.
+    ``edge_mask``, indexed by event rank, gates the L2 pairs, as in
+    :func:`mine`.
     """
     events = sorted(supports)
     esupp = np.array([supports[e] for e in events], dtype=np.int64)
@@ -191,11 +196,8 @@ def mine_levels(
         else:
             allowed = np.full((len(nodes), k - 1, len(new)), ALL_RELATIONS)
         admit = (allowed != 0).all(axis=1)
-        if k == 2 and edge_filter is not None:
-            admit &= np.array(
-                [[edge_filter(events[a], events[b]) for b in new] for a in nodes[:, 0]],
-                dtype=bool,
-            )
+        if k == 2 and edge_mask is not None:
+            admit &= edge_mask[nodes[:, :1], new]
         p, j = np.nonzero(admit)
         cands = Candidates(ids[p], np.column_stack((nodes[p], new[j])), allowed[p, :, j])
         keep = Keep(ms, cfg.delta, np.maximum(top[p], esupp[new[j]]))

@@ -3,19 +3,22 @@ pass == DuckDB oracle."""
 import warnings
 from dataclasses import replace
 
+import numpy as np
 import pandas as pd
 import pytest
 from pyspark.errors import PythonException
-from pyspark.sql import functions as F
 
 from repro.core import distributed
+from repro.core.collect import arrow_collect
 from repro.core.distributed import (
-    level12_partial_supports,
+    level12,
     mine_distributed,
+    partial_supports,
     partition_sequences,
+    sum_partials,
 )
 from repro.core.htpgm import MiningConfig, mine
-from repro.core.relations import relation_sql
+from repro.core.relations import RELATIONS, relation_sql
 from repro.core.seqdb import SequenceDatabase
 from repro.oracle import assert_equivalent
 
@@ -37,34 +40,37 @@ def _spark_dseq(spark, db):
 
 
 def _level12(dseq, **params):
-    """Partial supports of the L1 + L2 pass, summed over partitions."""
-    return level12_partial_supports(partition_sequences(dseq), **params)
+    """The L1 + L2 pass, summed over partitions as the miner sums it:
+    the sequence count, the event supports and the 2-event supports."""
+    cfg = MiningConfig(sigma=0.0, delta=0.0, **params)
+    n, supports, pairs = level12(
+        arrow_collect(partial_supports(partition_sequences(dseq), cfg))
+    )
+    return n, supports, sum_partials(*pairs)
 
 
 def _event_supports(dseq):
-    return (
-        _level12(dseq)
-        .where(F.col("event_i").isNotNull() & F.col("event_j").isNull())
-        .groupBy(F.col("event_i").alias("event"))
-        .agg(F.sum("supp").alias("supp"))
-    )
+    _, supports, _ = _level12(dseq)
+    return pd.DataFrame({"event": list(supports), "supp": list(supports.values())})
 
 
 def _two_event_supports(dseq, **params):
-    return (
-        _level12(dseq, **params)
-        .where(F.col("event_j").isNotNull())
-        .groupBy("event_i", "event_j", "rel")
-        .agg(F.sum("supp").alias("supp"))
+    _, supports, (cand, rels, supp, _) = _level12(dseq, **params)
+    events = np.array(sorted(supports), dtype=object)
+    a, b = np.divmod(cand, len(events))
+    return pd.DataFrame(
+        {
+            "event_i": events[a],
+            "event_j": events[b],
+            "rel": np.array(RELATIONS)[rels[:, 0]],
+            "supp": supp,
+        }
     )
 
 
 def _sequence_count(dseq):
-    return (
-        _level12(dseq)
-        .where(F.col("event_i").isNull())
-        .agg(F.max("supp").alias("n"))
-    )
+    n, _, _ = _level12(dseq)
+    return pd.DataFrame({"n": [n]})
 
 
 def test_event_supports_matches_oracle(spark):
@@ -80,11 +86,8 @@ def test_event_supports_matches_oracle(spark):
 
 def test_event_supports_match_bitmaps(spark):
     db = random_db(seed=1)
-    got = {
-        r["event"]: r["supp"]
-        for r in _event_supports(_spark_dseq(spark, db)).collect()
-    }
-    assert got == db.event_supports()
+    got = _event_supports(_spark_dseq(spark, db))
+    assert dict(zip(got["event"], got["supp"])) == db.event_supports()
 
 
 def test_sequence_count_matches_oracle(spark):
@@ -102,10 +105,10 @@ def test_pattern_supports_within_bitmap_and(spark):
     """Lemma 2: a 2-event pattern's support is at most the support of
     its event pair."""
     db = random_db(seed=3)
-    got = _two_event_supports(_spark_dseq(spark, db)).collect()
-    assert got
-    for r in got:
-        assert 0 < r["supp"] <= db.group_support((r["event_i"], r["event_j"]))
+    got = _two_event_supports(_spark_dseq(spark, db))
+    assert len(got)
+    for r in got.itertuples():
+        assert 0 < r.supp <= db.group_support((r.event_i, r.event_j))
 
 
 @pytest.mark.parametrize("eps,d_o,t_max", [(0, 1, None), (1, 3, 20)])
@@ -138,8 +141,8 @@ def test_two_event_supports_match_driver_enumeration(spark):
     db = random_db(seed=5, n_seq=12)
     r = mine(db, MiningConfig(sigma=0.0, delta=0.0, max_k=2))
     got = {
-        (r2["event_i"], r2["event_j"], r2["rel"]): r2["supp"]
-        for r2 in _two_event_supports(_spark_dseq(spark, db)).collect()
+        (r2.event_i, r2.event_j, r2.rel): r2.supp
+        for r2 in _two_event_supports(_spark_dseq(spark, db)).itertuples()
     }
     for ((e1, e2), (rel,)), supp in r.patterns.items():
         assert got[(e1, e2, rel)] == supp
@@ -154,7 +157,8 @@ def _assert_same_result(spark, db, cfg):
     for key in ("candidates_l2", "candidates_k"):
         assert got.stats[key] == expected.stats[key], key
     levels = [k for k in got.node_counts if k >= 2]
-    assert {f"seconds_l{k}" for k in levels} <= got.stats.keys()
+    seconds = {f"seconds_l{k}" for k in levels} | {"seconds_l12_pass"}
+    assert seconds <= got.stats.keys()
     # The distributed miner has no bitmaps, so it gates nothing by
     # Lemmas 2/3: it enumerates what the driver does without the gate.
     ungated = mine(db, replace(cfg, prune_apriori=False))
@@ -163,6 +167,19 @@ def _assert_same_result(spark, db, cfg):
         ungated.stats[key] for key in per_level
     ]
     assert sum(got.stats[key] for key in per_level) == got.stats["enumerated_nodes"]
+    # The driver's counters: equal, but for the pairs the distributed
+    # miner checks beyond the driver's, where the L1 + L2 pass tries
+    # infrequent event pairs (L2) or a replayed row realizes a tuple
+    # that was not kept (L4 on); see the distributed module docstring.
+    for k in levels:
+        if not got.stats[f"enumerated_l{k}"]:
+            continue
+        kept, checked = f"embeddings_kept_l{k}", f"pairs_checked_l{k}"
+        assert got.stats[kept] == ungated.stats[kept], kept
+        if k == 3:
+            assert got.stats[checked] == ungated.stats[checked], checked
+        else:
+            assert got.stats[checked] >= ungated.stats[checked], checked
     return got
 
 
@@ -172,14 +189,17 @@ def test_mine_distributed_equals_driver(spark, seed, sigma, delta):
     _assert_same_result(spark, db, MiningConfig(sigma=sigma, delta=delta, max_k=3))
 
 
-@pytest.mark.parametrize("seed", [2, 3])
-def test_mine_distributed_equals_driver_at_k4(spark, seed):
-    """Level 4 replays the kept level-3 embeddings per sequence."""
+@pytest.mark.parametrize(
+    "seed,max_k", [(2, 4), (3, 4), (3, 5)], ids=["2", "3", "3-k5"]
+)
+def test_mine_distributed_equals_driver_at_k4(spark, seed, max_k):
+    """Level k replays the kept embeddings of levels 2..k-1 per
+    sequence."""
     db = random_db(seed=seed, n_seq=14, n_vars=4)
     got = _assert_same_result(
-        spark, db, MiningConfig(sigma=0.2, delta=0.2, max_k=4)
+        spark, db, MiningConfig(sigma=0.2, delta=0.2, max_k=max_k)
     )
-    assert got.node_counts.get(4, 0) > 0
+    assert got.node_counts.get(max_k, 0) > 0
 
 
 def test_mine_distributed_more_partitions_than_sequences(spark):

@@ -1,6 +1,8 @@
 """Tests for the E-HTPGM miner and its pruning variants."""
 import math
 
+import numpy as np
+
 import pytest
 
 from repro.core.htpgm import MiningConfig, mine, mine_variant
@@ -146,11 +148,13 @@ def test_filtered_equals_remining():
 
 def test_edge_filter_restricts_pairs():
     db = kitchen_db()
+    allowed = np.isin(db.events, ["K", "T"])
     r = mine(
         db,
         cfg(sigma=0.6, delta=0.6, max_k=3),
-        edge_filter=lambda a, b: {a, b} <= {"K", "T"},
+        edge_mask=allowed[:, None] & allowed,
     )
+    assert r.patterns
     assert all(set(k[0]) <= {"K", "T"} for k in r.patterns)
 
 
