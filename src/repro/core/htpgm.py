@@ -52,9 +52,9 @@ Besides the per-level records of :class:`repro.core.model.MiningResult`,
 ``seconds_l{k}`` (wall time of level ``k``) and ``enumerated_l{k}``
 (its candidates that pass the gate; they sum to ``enumerated_nodes``)
 for every mined level, and, from the counting function,
-``pairs_checked_l{k}`` and ``embeddings_kept_l{k}``: the driver's
-counts them as it extends, the distributed miner sums them over its
-partitions (see :mod:`repro.core.distributed`).
+``pairs_checked_l{k}`` and ``embeddings_kept_l{k}``: the driver
+miner's records them as it extends, the distributed miner's sums them
+over its partitions (see :mod:`repro.core.distributed`).
 """
 from __future__ import annotations
 
