@@ -24,8 +24,8 @@ made total and deterministic with the key ``(start, -end, event_id)``:
 
 **Columnar layout.**  An :class:`InstanceTable` holds the instances of
 a set of sequences in CSR form: sorted ``start``/``end`` arrays grouped
-by event rank and sequence, with one offset per non-empty
-``(event, sequence)`` slot, and one order key per instance, (slot,
+by event rank and sequence, with one offset per ``(event, sequence)``
+slot, empty ones included, and one order key per instance, (slot,
 start, −end), increasing in table order.  Event ranks follow sorted
 event ids, so comparing ranks in the order key compares ids.  A
 :class:`repro.core.seqdb.SequenceDatabase` builds its table once from
@@ -41,10 +41,11 @@ owns a contiguous row range.
 allowed relations per position).  For each prefix row, one binary
 search in the order keys finds the first instance of the new event
 that follows the row's last instance, so only chronologically ordered
-extensions are built.  Supports come from one sort of the extensions
-by (group code, sequence), the σ/δ filter is a :class:`Keep` of array
-masks over the group supports and each candidate's largest event
-support, and relation tuples are decoded for the kept groups alone.
+extensions are built.  Supports come from one stable sort of the
+extensions by (group code, sequence), the σ/δ filter is a
+:class:`Keep` of array masks over the group supports and each
+candidate's largest event support, and relation tuples are decoded for
+the kept groups alone.
 """
 from __future__ import annotations
 
@@ -173,6 +174,15 @@ class Embeddings:
     def __len__(self) -> int:
         return len(self.seq)
 
+    def node_bitmaps(self, n_seq: int) -> np.ndarray:
+        """Row ``j``: the sequences holding an embedding of node ``j``,
+        as a bitmap of length ``n_seq`` packed by ``np.packbits``."""
+        sizes = self.hi - self.lo
+        matrix = np.zeros((len(sizes), n_seq), dtype=bool)
+        rows = _concat_ranges(self.lo, sizes)
+        matrix[np.repeat(np.arange(len(sizes)), sizes), self.seq[rows]] = True
+        return np.packbits(matrix, axis=1)
+
 
 @dataclass(frozen=True)
 class InstanceTable:
@@ -181,13 +191,13 @@ class InstanceTable:
     Instances are sorted by ``(event rank, sequence, start, -end)``;
     ``events[rank]`` is the event id of a rank, in sorted order, and
     sequences are numbered ``0 .. n_seq - 1`` in the order of their ids.
-    The ``j``-th non-empty ``(event, sequence)`` slot has key
-    ``slots[j] = rank * n_seq + sequence`` and holds instances
-    ``offsets[j]:offsets[j + 1]``.  ``key`` is the order key of each
-    instance, ``slot * len(start) + pos`` with ``pos`` the rank of its
-    ``(start, -end)`` among the distinct pairs of the table: increasing
-    in table order, so one binary search finds the instances of a slot
-    that follow a given instance.
+    The ``(event, sequence)`` slot ``rank * n_seq + sequence`` holds
+    instances ``offsets[slot]:offsets[slot + 1]``, empty slots included,
+    so a slot's instances are two lookups away.  ``key`` is the order
+    key of each instance, ``slot * len(start) + pos`` with ``pos`` the
+    rank of its ``(start, -end)`` among the distinct pairs of the table:
+    increasing in table order, so one binary search finds the instances
+    of a slot that follow a given instance.
     """
 
     events: list[EventId]
@@ -195,7 +205,6 @@ class InstanceTable:
     seq: np.ndarray
     start: np.ndarray
     end: np.ndarray
-    slots: np.ndarray
     offsets: np.ndarray
     key: np.ndarray
 
@@ -231,15 +240,14 @@ class InstanceTable:
         key = rank.astype(np.int64) * n_seq + seq
         order = np.lexsort((-end, start, key))
         key, start, end = key[order], start[order], end[order]
-        slots, first = np.unique(key, return_index=True)
+        sizes = np.bincount(key, minlength=len(events) * n_seq)
         return cls(
             events=list(events),
             n_seq=n_seq,
             seq=seq[order],
             start=start,
             end=end,
-            slots=slots,
-            offsets=np.append(first, len(key)),
+            offsets=np.append(0, np.cumsum(sizes)),
             key=key * len(start) + _positions(start, end),
         )
 
@@ -249,14 +257,10 @@ class InstanceTable:
         order.  Equal to :meth:`from_columns` over the kept rows, with
         this ``n_seq``."""
         keep = np.array([ev in events for ev in self.events], dtype=bool)
-        slot_rank = self.slots // max(self.n_seq, 1)
-        # Moving a slot from rank r to rank r' moves its key by (r' - r) * n_seq.
-        shift = (np.cumsum(keep) - 1 - np.arange(len(keep)))[slot_rank] * self.n_seq
-        slot_keep = keep[slot_rank]
-        slots = (self.slots + shift)[slot_keep]
-        sizes = np.diff(self.offsets)
-        rows = np.repeat(slot_keep, sizes)
-        sizes = sizes[slot_keep]
+        sizes = self.slot_sizes()
+        rows = np.repeat(keep, sizes.sum(axis=1))
+        sizes = sizes[keep].ravel()
+        slots = np.repeat(np.arange(len(sizes)), sizes)
         # The kept positions, renumbered densely in order.
         pos = self.key[rows] % max(len(self.start), 1)
         present = np.zeros(len(self.start), dtype=bool)
@@ -268,23 +272,24 @@ class InstanceTable:
             seq=self.seq[rows],
             start=self.start[rows],
             end=self.end[rows],
-            slots=slots,
             offsets=np.append(0, np.cumsum(sizes)),
-            key=np.repeat(slots, sizes) * len(pos) + pos,
+            key=slots * len(pos) + pos,
         )
+
+    def slot_sizes(self) -> np.ndarray:
+        """The instances of each (event rank, sequence) slot, as an
+        events × sequences array."""
+        return np.diff(self.offsets).reshape(len(self.events), self.n_seq)
 
     def supports(self) -> dict[EventId, int]:
         """The number of sequences holding each event."""
-        counts = np.bincount(self.slots // self.n_seq, minlength=len(self.events))
+        counts = (self.slot_sizes() > 0).sum(axis=1)
         return dict(zip(self.events, counts.tolist()))
 
     def singletons(self) -> Embeddings:
         """The one-instance embeddings of every event: level 1, whose
         node ``r`` is the event of rank ``r``."""
-        bounds = np.searchsorted(
-            self.slots, np.arange(len(self.events) + 1) * self.n_seq
-        )
-        offsets = self.offsets[bounds]
+        offsets = self.offsets[np.arange(len(self.events) + 1) * self.n_seq]
         return Embeddings(
             seq=self.seq,
             start=self.start[None],
@@ -430,7 +435,9 @@ def extend(
             continue
         # Supports, from one sort by (code, sequence): a group is a run
         # of one code, and its support the sequences that start in it.
-        order = np.argsort(code * n_seq + embs.seq[prow])
+        # Stable: the rows arrive sorted by (candidate, prefix tuple,
+        # sequence), a head start that a stable sort exploits.
+        order = np.argsort(code * n_seq + embs.seq[prow], kind="stable")
         sorted_code, sorted_seq = code[order], embs.seq[prow[order]]
         new_group = np.ones(len(order), dtype=bool)
         new_group[1:] = sorted_code[1:] != sorted_code[:-1]
@@ -497,39 +504,44 @@ def _related_pairs(table, embs, cands, cand, prow, strict, k, epsilon, d_o, t_ma
     prefix tuple and new relations are; a code times ``n_seq`` fits in
     an int64.
     """
-    slot = cands.nodes[cand, -1] * table.n_seq + embs.seq[prow]
-    j = np.minimum(np.searchsorted(table.slots, slot), len(table.slots) - 1)
-    hit = table.slots[j] == slot
-    end = table.offsets[j + 1]
-    n_pairs = int(np.where(hit, end - table.offsets[j], 0).sum())
+    slot = cands.nodes[:, -1][cand] * table.n_seq + embs.seq[prow]
+    end = table.offsets[slot + 1]
+    n_pairs = int((end - table.offsets[slot]).sum())
     # The first instance of the slot whose (start, -end) is not before
-    # the last instance's (after it, when ``strict``).
+    # the last instance's (after it, when ``strict``): the probe lies
+    # among the slot's keys, so the search lands inside the slot.
     base = len(table.start)
     probe = slot * base + table.key[embs.last[prow]] % base + strict[cand]
-    first = np.searchsorted(table.key, probe)
-    count = np.where(hit, np.maximum(end - first, 0), 0)
+    count = end - np.searchsorted(table.key, probe)
     cand, prow = np.repeat(cand, count), np.repeat(prow, count)
-    inst = _concat_ranges(first, count)
-    del slot, j, hit, end, probe, first, count
+    inst = _concat_ranges(end - count, count)
+    del slot, end, probe, count
     s2, e2 = table.start[inst], table.end[inst]
     if t_max is not None:
         ok = e2 - embs.start[0, prow] <= t_max
         cand, prow, inst, s2, e2 = cand[ok], prow[ok], inst[ok], s2[ok], e2[ok]
-    # Relations to each earlier position, appended to the code in base 3.
+    # The relation to each earlier position; an extension is kept when
+    # every one is allowed (r & 3 maps "no relation", -1, to bit 3,
+    # which is never allowed).  One compaction, as few rows fail.
+    rels = [
+        relation_codes(embs.start[i, prow], embs.end[i, prow], s2, e2, epsilon, d_o)
+        for i in range(k - 1)
+    ]
+    ok = np.ones(len(inst), dtype=bool)
+    for i, r in enumerate(rels):
+        allowed = cands.allowed[:, i].astype(np.int8)[cand]
+        ok &= ((allowed >> (r & 3)) & 1).view(bool)
+    cand, prow, inst = cand[ok], prow[ok], inst[ok]
+    # The relations, appended to the code in base 3.
     n_tuples = len(embs.tuples)
     code = cand * n_tuples + embs.code[prow]
     bound = len(cands.prefix) * n_tuples
     limit = _INT64_MAX // (3 * max(table.n_seq, 1))
-    for i in range(k - 1):
-        r = relation_codes(embs.start[i, prow], embs.end[i, prow], s2, e2, epsilon, d_o)
-        # r & 3 maps "no relation" (-1) to bit 3, which is never allowed
-        ok = ((cands.allowed[cand, i] >> (r & 3)) & 1).astype(bool)
-        cand, prow, inst, s2, e2 = cand[ok], prow[ok], inst[ok], s2[ok], e2[ok]
-        code, r = code[ok], r[ok]
+    for r in rels:
         if bound > limit:
             uniq, code = np.unique(code, return_inverse=True)
             bound = len(uniq)
-        code = code * 3 + r
+        code = code * 3 + r[ok]
         bound *= 3
     return n_pairs, (cand, prow, inst, code)
 

@@ -20,6 +20,12 @@ both run it:
   bitmaps, pass (σ, δ).  The gate runs once per level, over every
   candidate the other rules admit, through the database's batched
   :meth:`repro.core.seqdb.SequenceDatabase.group_supports`.
+* With both prunings (the ``all`` configuration), the driver miner's
+  count extends that bound to the nodes' embeddings: a level-k
+  candidate (k >= 3) is counted only if the sequences holding
+  embeddings of its prefix node and of every green L2 node
+  ``(E_i, E_k)`` pass (σ, δ) (the pair bound of
+  :func:`_count_embeddings`).
 * A node keeps the relation tuples that pass (σ, δ).  Nodes that keep
   none ("brown" nodes) never seed deeper levels — sound by
   pattern-level Apriori (any sub-pattern of a frequent pattern is
@@ -54,7 +60,9 @@ Besides the per-level records of :class:`repro.core.model.MiningResult`,
 for every mined level, and, from the counting function,
 ``pairs_checked_l{k}`` and ``embeddings_kept_l{k}``: the driver
 miner's records them as it extends, the distributed miner's sums them
-over its partitions (see :mod:`repro.core.distributed`).
+over its partitions (see :mod:`repro.core.distributed`).  The driver
+miner's also records ``bound_pruned_l{k}`` for every level from 3: the
+candidates its pair bound dropped, whose pairs are not checked.
 """
 from __future__ import annotations
 
@@ -66,7 +74,7 @@ import numpy as np
 
 from .enumerate import ALL_RELATIONS, RELATION_BIT, Candidates, Groups, Keep, extend
 from .model import EventId, MiningResult, min_support
-from .seqdb import SequenceDatabase
+from .seqdb import SequenceDatabase, anded_supports
 
 #: ``count(candidates, keep, stats)``; see :func:`mine_levels`.
 Count = Callable[[Candidates, Keep, dict], Groups]
@@ -239,16 +247,43 @@ def _count_embeddings(db: SequenceDatabase, cfg: MiningConfig) -> Count:
     no transitivity pruning, so all four pruning configurations count
     here; with it (Lemma 6) the new relations are also restricted to
     the green L2 ones.  The last level (``cfg.max_k``) stores none, as
-    no level extends it.  Records ``pairs_checked_l{k}`` and
-    ``embeddings_kept_l{k}`` in ``stats`` for every counted level, 0 for
-    a level without candidates.
+    no level extends it.
+
+    With both prunings on, a level-k candidate (k >= 3) is counted only
+    if its *pair bound* passes (σ, δ): the sequences in the AND of its
+    prefix node's bitmap and the bitmap of every green L2 node
+    ``(E_i, E_k)``, a node's bitmap marking the sequences of its stored
+    embeddings.  Every extension the count would keep realizes a kept
+    tuple of each ``(E_i, E_k)``: its relation to ``E_i`` is a green one,
+    its instances are in chronological order and its span from ``E_i``
+    is within the span from the first instance, so ``t_max`` holds too.
+
+    Records ``pairs_checked_l{k}`` and ``embeddings_kept_l{k}`` in
+    ``stats`` for every counted level, 0 for a level without
+    candidates, and ``bound_pruned_l{k}``, the candidates the pair bound
+    dropped, for every level from 3 (0 unless both prunings are on).
     """
     table = db.table
     embs = table.singletons()
+    bound = cfg.prune_apriori and cfg.prune_trans
+    # The bitmaps of the L2 nodes, and each event pair's row among them.
+    pair_bits = pair_row = None
 
     def count(cands, keep, stats):
-        nonlocal embs
-        k = cands.nodes.shape[1]
+        nonlocal embs, pair_bits, pair_row
+        n_cand, k = cands.nodes.shape
+        passed = None
+        if bound and k > 2:
+            prefix_bits = embs.node_bitmaps(table.n_seq)
+            pairs = pair_row[cands.nodes[:, :-1], cands.nodes[:, -1:]]
+            supp = anded_supports(
+                np.vstack((prefix_bits, pair_bits)),
+                np.column_stack((cands.prefix, pairs + len(prefix_bits))),
+            )
+            passed = np.flatnonzero(keep.mask(np.arange(n_cand), supp))
+            cands, keep = cands.take(passed), keep._replace(top=keep.top[passed])
+        if k > 2:
+            stats[f"bound_pruned_l{k}"] = n_cand - len(cands.prefix)
         ext = extend(
             table,
             embs,
@@ -259,12 +294,22 @@ def _count_embeddings(db: SequenceDatabase, cfg: MiningConfig) -> Count:
             d_o=cfg.d_o,
             t_max=cfg.t_max,
         )
+        groups, embs = ext.groups, ext.embeddings
         stats[f"pairs_checked_l{k}"] = ext.pairs_checked
-        stats[f"embeddings_kept_l{k}"] = (
-            0 if ext.embeddings is None else len(ext.embeddings)
-        )
-        embs = ext.embeddings
-        return ext.groups
+        stats[f"embeddings_kept_l{k}"] = 0 if embs is None else len(embs)
+        if bound and k == 2 and embs is not None:
+            pair_bits = embs.node_bitmaps(table.n_seq)
+            pair_row = np.zeros((len(table.events),) * 2, dtype=np.int64)
+            pair_row[tuple(cands.nodes.T)] = np.arange(n_cand)
+        if passed is not None:
+            # Name groups and nodes by the level's candidate indices.
+            groups = groups._replace(cand=passed[groups.cand])
+            if embs is not None:
+                sizes = np.zeros(n_cand, dtype=np.int64)
+                sizes[passed] = embs.hi - embs.lo
+                spans = np.append(0, np.cumsum(sizes))
+                embs = replace(embs, lo=spans[:-1], hi=spans[1:])
+        return groups
 
     return count
 

@@ -57,12 +57,13 @@ def relation_codes(s1, end1, s2, end2, epsilon: int = 0, d_o: int = 1) -> np.nda
     :data:`RELATIONS` (0 Follow, 1 Contain, 2 Overlap) or -1 where no
     relation holds, as ``int8``.
     """
-    codes = np.full(np.shape(s2), -1, dtype=np.int8)
-    # Assigned in reverse of the tree's order, so an earlier test wins.
-    codes[(s1 < s2) & (end1 + epsilon < end2) & (end1 - s2 >= d_o - epsilon)] = 2
-    codes[(s1 <= s2) & (end1 + epsilon >= end2)] = 1
-    codes[s2 >= end1 - epsilon] = 0
-    return codes
+    follow = np.asarray(s2 >= end1 - epsilon, dtype=np.int8)
+    contain = np.asarray((s1 <= s2) & (end1 + epsilon >= end2), dtype=np.int8)
+    # Where Contain fails, s1 < s2 implies end1 + epsilon < end2.
+    overlap = np.asarray((s1 < s2) & (end1 - s2 >= d_o - epsilon), dtype=np.int8)
+    # The tree as arithmetic, not masked writes, which branch per
+    # element: 0 on Follow, else 1 on Contain, else 2 on Overlap or -1.
+    return (1 - follow) * (contain + (1 - contain) * (3 * overlap - 1))
 
 
 def relation_sql(

@@ -92,6 +92,22 @@ def check_dseq_frame(pdf: pd.DataFrame) -> None:
         check_dseq_row(*(pdf[c].iloc[i : i + 1].tolist()[0] for c in DSEQ_COLUMNS))
 
 
+def anded_supports(packed: np.ndarray, rows) -> np.ndarray:
+    """Per row of ``rows``, an (n, k) array of row indices into
+    ``packed`` (bitmaps packed by ``np.packbits`` along axis 1): the
+    set bits of the AND of its ``k`` bitmaps.  Gathers, ANDs and counts
+    in batches of about ``_GATE_BYTES``."""
+    idx = np.asarray(rows, dtype=np.int64)
+    if not len(idx):
+        return np.zeros(0, dtype=np.int64)
+    step = max(1, _GATE_BYTES // max(idx.shape[1] * packed.shape[1], 1))
+    out = np.empty(len(idx), dtype=np.int64)
+    for i in range(0, len(idx), step):
+        anded = np.bitwise_and.reduce(packed[idx[i : i + step]], axis=1)
+        out[i : i + step] = _POPCOUNT[anded].sum(axis=1, dtype=np.int64)
+    return out
+
+
 @dataclass(frozen=True)
 class SequenceDatabase:
     """Temporal sequence database D_SEQ (paper Def. 3.10) + bitmaps.
@@ -113,9 +129,7 @@ class SequenceDatabase:
     @cached_property
     def _bitmap_matrix(self) -> np.ndarray:
         """Row ``r``: the bitmap of ``events[r]``, of length ``n_seq``."""
-        matrix = np.zeros((len(self.events), self.n_seq), dtype=bool)
-        matrix.flat[self.table.slots] = True
-        return matrix
+        return self.table.slot_sizes() > 0
 
     @cached_property
     def bitmaps(self) -> dict[EventId, np.ndarray]:
@@ -129,9 +143,9 @@ class SequenceDatabase:
         seqs: list[dict[EventId, list[Instance]]] = [{} for _ in range(t.n_seq)]
         pairs = list(zip(t.start.tolist(), t.end.tolist()))
         bounds = t.offsets.tolist()
-        for j, slot in enumerate(t.slots.tolist()):
+        for slot in np.flatnonzero(t.slot_sizes()).tolist():
             rank, sid = divmod(slot, t.n_seq)
-            seqs[sid][t.events[rank]] = pairs[bounds[j] : bounds[j + 1]]
+            seqs[sid][t.events[rank]] = pairs[bounds[slot] : bounds[slot + 1]]
         return seqs
 
     def support(self, event: EventId) -> int:
@@ -159,16 +173,7 @@ class SequenceDatabase:
         array of event ranks (indices into :attr:`events`), in one pass
         per batch: gather the rows of the packed bitmap matrix, AND-reduce
         and count the set bits."""
-        idx = np.asarray(nodes, dtype=np.int64)
-        if not len(idx):
-            return np.zeros(0, dtype=np.int64)
-        packed = self._packed_bitmaps
-        step = max(1, _GATE_BYTES // max(idx.shape[1] * packed.shape[1], 1))
-        out = np.empty(len(idx), dtype=np.int64)
-        for i in range(0, len(idx), step):
-            anded = np.bitwise_and.reduce(packed[idx[i : i + step]], axis=1)
-            out[i : i + step] = _POPCOUNT[anded].sum(axis=1, dtype=np.int64)
-        return out
+        return anded_supports(self._packed_bitmaps, nodes)
 
     @classmethod
     def from_rows(

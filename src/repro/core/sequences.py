@@ -17,7 +17,6 @@ within-sequence geometry is what the relations see.  Implemented with
 from __future__ import annotations
 
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from .collect import job_description
 from .seqdb import DSEQ_COLUMNS  # noqa: F401  (documented output schema)
@@ -45,44 +44,41 @@ def split_sequences(
     stride = seq_len - overlap
     if n_windows is None:
         with job_description(instances.sparkSession, "sequences.n_windows"):
-            t_total = instances.agg(F.max("end")).collect()[0][0] or 0
+            t_total = instances.selectExpr("max(`end`)").collect()[0][0] or 0
         n_windows = max(1, (t_total - seq_len) // stride + 1)
 
-    s, e = F.col("start"), F.col("end")
+    # SQL strings, not Column expressions: Spark parses each in one
+    # call, where every Column operator is a round trip to the JVM.
     # Window w intersects [s, e) iff  w*stride < e  and  s < w*stride + seq_len
-    w_lo = F.greatest(
-        F.lit(0), F.floor((s - F.lit(seq_len)) / F.lit(stride)) + F.lit(1)
-    )
-    w_hi = F.least(F.lit(n_windows - 1), F.floor((e - F.lit(1)) / F.lit(stride)))
-    exploded = (
-        instances.withColumn("w_lo", w_lo.cast("long"))
-        .withColumn("w_hi", w_hi.cast("long"))
-        .where(F.col("w_lo") <= F.col("w_hi"))
-        .withColumn("seq_id", F.explode(F.sequence("w_lo", "w_hi")))
-    )
-    win_start = F.col("seq_id") * F.lit(stride)
-    clipped = exploded.select(
-        F.col("seq_id").cast("int").alias("seq_id"),
-        F.concat_ws(":", "var", "symbol").alias("event"),
-        F.greatest(s, win_start).alias("cs"),
-        F.least(e, win_start + F.lit(seq_len)).alias("ce"),
-        win_start.alias("ws"),
-    ).where(F.col("ce") > F.col("cs"))
-    if rebase:
-        clipped = clipped.select(
-            "seq_id",
-            "event",
-            (F.col("cs") - F.col("ws")).cast("int").alias("start"),
-            (F.col("ce") - F.col("ws")).cast("int").alias("end"),
+    windows = instances.selectExpr(
+        "var",
+        "symbol",
+        "`start`",
+        "`end`",
+        f"CAST(greatest(0, floor((`start` - {seq_len}) / {stride}) + 1) AS BIGINT) AS w_lo",
+        f"CAST(least({n_windows - 1}, floor((`end` - 1) / {stride})) AS BIGINT) AS w_hi",
+    ).where("w_lo <= w_hi")
+    win_start = f"seq_id * {stride}"
+    clipped = (
+        windows.selectExpr(
+            "var", "symbol", "`start`", "`end`", "explode(sequence(w_lo, w_hi)) AS seq_id"
         )
-    else:
-        clipped = clipped.select(
+        .selectExpr(
             "seq_id",
-            "event",
-            F.col("cs").cast("int").alias("start"),
-            F.col("ce").cast("int").alias("end"),
+            "concat_ws(':', var, symbol) AS event",
+            f"greatest(`start`, {win_start}) AS cs",
+            f"least(`end`, {win_start} + {seq_len}) AS ce",
+            f"{win_start} AS ws",
         )
-    return clipped
+        .where("ce > cs")
+    )
+    shift = " - ws" if rebase else ""
+    return clipped.selectExpr(
+        "CAST(seq_id AS INT) AS seq_id",
+        "event",
+        f"CAST(cs{shift} AS INT) AS `start`",
+        f"CAST(ce{shift} AS INT) AS `end`",
+    )
 
 
 def build_dseq(

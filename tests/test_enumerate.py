@@ -107,11 +107,13 @@ def _rows(sequences):
     ]
 
 
-def _extend_run(sequences, node, allowed=None, **params):
+def _extend_run(sequences, node, allowed=None, store_last=True, **params):
     """Supports of ``node``'s relation tuples in ``sequences``, built by
     :func:`extend` one event at a time, keeping every tuple, and the
     ``pairs_checked`` of each step; ``allowed[(i, j)]`` restricts the
-    relation between positions ``i`` and ``j`` (default: any)."""
+    relation between positions ``i`` and ``j`` (default: any).  The last
+    step stores its embeddings only with ``store_last``, as a miner's
+    last level does not."""
     allowed = allowed or {}
     rows = _rows(sequences)
     events = sorted(set(node) | {row[1] for row in rows})
@@ -130,7 +132,8 @@ def _extend_run(sequences, node, allowed=None, **params):
         cands = Candidates(
             np.array([prefix]), np.array([ranks[: j + 1]]), np.array([masks])
         )
-        ext = extend(table, embs, cands, store=True, **params)
+        store = store_last or j < len(node) - 1
+        ext = extend(table, embs, cands, store=store, **params)
         embs, prefix = ext.embeddings, 0
         supports = dict(zip(ext.groups.tuples, ext.groups.supp.tolist()))
         pairs.append(ext.pairs_checked)
@@ -219,12 +222,14 @@ def test_extend_supports_equal_dfs(seqs, node, epsilon, d_o, t_max):
     the depth-first enumeration's tuples counted over sequences, and
     each step's ``pairs_checked`` is the number of (prefix embedding,
     instance of the new event in its sequence) pairs, counted before
-    the order key bounds them."""
+    the order key bounds them.  A last step that stores no embeddings
+    counts the same."""
     params = {"epsilon": epsilon, "d_o": d_o, "t_max": t_max}
     expected = Counter()
     for inst in seqs:
         expected.update(enumerate_pattern_tuples(inst, node, **params))
     supports, pairs = _extend_run(seqs, node, **params)
+    assert _extend_run(seqs, node, store_last=False, **params) == (supports, pairs)
     assert supports == dict(expected)
     assert pairs == [
         sum(

@@ -5,6 +5,7 @@ import numpy as np
 
 import pytest
 
+from repro.baselines import mine_hdfs
 from repro.core.htpgm import MiningConfig, mine, mine_variant
 from repro.core.model import min_support
 from repro.core.seqdb import SequenceDatabase
@@ -205,7 +206,8 @@ def test_math_ceil_min_support_boundary():
 #: (db, sigma, delta, max_k, variant) -> ((candidates_l2, candidates_k,
 #: enumerated_nodes, summed pairs_checked_l{k}), node_counts).  The
 #: first three and node_counts are as the miner reported them before
-#: its level loop was shared with the distributed miner.
+#: its level loop was shared with the distributed miner; the pairs of
+#: "all" are those left after the pair bound drops candidates.
 PINNED_COUNTERS = {
     ("kitchen", 0.8, 0.8, 3, "noprune"): ((9, 9, 18, 76), {1: 3, 2: 3, 3: 1}),
     ("kitchen", 0.8, 0.8, 3, "apriori"): ((9, 9, 18, 76), {1: 3, 2: 3, 3: 1}),
@@ -224,13 +226,13 @@ PINNED_COUNTERS = {
         {1: 5, 2: 19, 3: 3, 4: 0},
     ),
     ("random4", 0.4, 0.4, 4, "all"): (
-        (25, 107, 93, 4166),
+        (25, 107, 93, 3290),
         {1: 5, 2: 19, 3: 3, 4: 0},
     ),
     ("random4", 0.6, 0.6, 3, "noprune"): ((25, 40, 65, 3217), {1: 5, 2: 8, 3: 0}),
     ("random4", 0.6, 0.6, 3, "apriori"): ((25, 40, 58, 2947), {1: 5, 2: 8, 3: 0}),
     ("random4", 0.6, 0.6, 3, "trans"): ((25, 40, 35, 1984), {1: 5, 2: 8, 3: 0}),
-    ("random4", 0.6, 0.6, 3, "all"): ((25, 40, 33, 1898), {1: 5, 2: 8, 3: 0}),
+    ("random4", 0.6, 0.6, 3, "all"): ((25, 40, 33, 1772), {1: 5, 2: 8, 3: 0}),
 }
 
 
@@ -286,3 +288,31 @@ def test_enumerated_per_level_sums_to_enumerated_nodes():
         r = mine_variant(db, cfg(sigma=0.4, delta=0.4, max_k=4), variant)
         per_level = [r.stats[f"enumerated_l{k}"] for k in (2, 3, 4)]
         assert sum(per_level) == r.stats["enumerated_nodes"]
+
+
+def test_pair_bound_drops_what_the_event_gate_passes():
+    """A, B and C occur once in every sequence, in the order ACB in two
+    and BCA in the other two, so every order of the three passes the
+    Lemma 2/3 gate.  Each ordered pair is a green L2 node, but only in
+    the sequences of one order: the pair bound of a 3-event order is 0
+    unless all three of its pairs come from one order, so it drops the
+    four orders other than ACB and BCA (ABC among them, whose prefix
+    and first pair agree: only its last pair, (B, C), rules it out).
+    The patterns are unchanged."""
+    rows = []
+    for s, order in enumerate(["ACB", "ACB", "BCA", "BCA"]):
+        rows += [(s, ev, 2 * i, 2 * i + 1) for i, ev in enumerate(order)]
+    db = SequenceDatabase.from_rows(rows)
+    assert db.group_support(("A", "B", "C")) == 4
+    c = cfg(sigma=0.5, delta=0.5, max_k=3)
+    got = mine_variant(db, c, "all")
+    trans = mine_variant(db, c, "trans")
+    assert got.stats["enumerated_l3"] == trans.stats["enumerated_l3"] == 6
+    assert got.stats["bound_pruned_l3"] == 4
+    assert trans.stats["bound_pruned_l3"] == 0
+    assert got.stats["pairs_checked_l3"] < trans.stats["pairs_checked_l3"]
+    assert got.patterns == trans.patterns == mine_hdfs(db, c).patterns
+    assert {nodes for nodes, _ in got.patterns if len(nodes) == 3} == {
+        ("A", "C", "B"),
+        ("B", "C", "A"),
+    }
