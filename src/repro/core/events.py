@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
-from pyspark.sql.window import Window
 
 #: Schema of an instances DataFrame.
 INSTANCES_COLUMNS = ("var", "symbol", "start", "end")
@@ -27,23 +26,25 @@ def to_instances(symbols: DataFrame) -> DataFrame:
     Input: ``(var, t, symbol)``.  Output: ``(var, symbol, start, end)``
     with one row per maximal run of identical consecutive symbols.
     """
-    w = Window.partitionBy("var").orderBy("t")
-    prev_sym = F.lag("symbol").over(w)
-    prev_t = F.lag("t").over(w)
-    boundary = (
-        prev_sym.isNull()
-        | (prev_sym != F.col("symbol"))
-        | (prev_t != F.col("t") - 1)
-    ).cast("int")
-    with_run = symbols.select(
+    # SQL strings, not Column expressions: Spark parses each in one
+    # call, where every Column operator is a round trip to the JVM.  A
+    # window function cannot nest in a window aggregate, so the
+    # boundary flag takes a select of its own.
+    w = "OVER (PARTITION BY var ORDER BY t)"
+    flagged = symbols.selectExpr(
         "var",
         "t",
         "symbol",
-        F.sum(boundary).over(
-            w.rowsBetween(Window.unboundedPreceding, Window.currentRow)
-        ).alias("run_id"),
+        f"CAST(lag(symbol) {w} IS NULL OR lag(symbol) {w} != symbol"
+        f" OR lag(t) {w} != t - 1 AS INT) AS boundary",
+    )
+    with_run = flagged.selectExpr(
+        "var",
+        "t",
+        "symbol",
+        "sum(boundary) OVER (PARTITION BY var ORDER BY t"
+        " ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW) AS run_id",
     )
     return with_run.groupBy("var", "symbol", "run_id").agg(
-        F.min("t").alias("start"),
-        (F.max("t") + F.lit(1)).alias("end"),
-    ).select("var", "symbol", "start", "end")
+        F.expr("min(t) AS `start`"), F.expr("max(t) + 1 AS `end`")
+    ).selectExpr("var", "symbol", "`start`", "`end`")

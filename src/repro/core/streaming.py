@@ -60,19 +60,23 @@ def windowed_symbolize(
     threshold.  Output: ``(var, t, symbol)`` with ``t`` the slot index
     (window start / slot length).
     """
-    win = F.window(F.col("ts"), f"{slot_seconds} seconds")
-    agg = readings.groupBy("var", win.alias("win")).agg(
-        F.avg("value").alias("mean_value")
-    )
-    return agg.select(
+    # SQL strings, not Column expressions: Spark parses each in one
+    # call, where every Column operator is a round trip to the JVM.
+    agg = readings.groupBy(
+        "var", F.expr(f"window(ts, '{slot_seconds} seconds') AS win")
+    ).agg(F.expr("avg(value) AS mean_value"))
+    return agg.selectExpr(
         "var",
-        (F.unix_timestamp(F.col("win.start")) / F.lit(slot_seconds))
-        .cast("long")
-        .alias("t"),
-        F.when(F.col("mean_value") >= F.lit(threshold), F.lit(on))
-        .otherwise(F.lit(off))
-        .alias("symbol"),
+        f"CAST(unix_timestamp(win.start) / {slot_seconds} AS BIGINT) AS t",
+        f"CASE WHEN mean_value >= CAST('{float(threshold)!r}' AS DOUBLE)"
+        f" THEN {_sql_string(on)}"
+        f" ELSE {_sql_string(off)} END AS symbol",
     )
+
+
+def _sql_string(s: str) -> str:
+    """``s`` as a Spark SQL string literal."""
+    return "'" + s.replace("\\", "\\\\").replace("'", "\\'") + "'"
 
 
 def run_available_now(

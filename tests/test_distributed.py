@@ -1,6 +1,10 @@
 """Distributed miner == driver miner, and its L1 + L2 partial-support
 pass == DuckDB oracle."""
+import importlib
+import sys
 import warnings
+import zipfile
+import zipimport
 from dataclasses import replace
 
 import numpy as np
@@ -159,6 +163,10 @@ def _assert_same_result(spark, db, cfg):
     levels = [k for k in got.node_counts if k >= 2]
     seconds = {f"seconds_l{k}" for k in levels} | {"seconds_l12_pass"}
     assert seconds <= got.stats.keys()
+    # The pass's task time: at L1 + L2, and at each level from 3 on.
+    task = {f"task_seconds_l{k}" for k in levels if k > 2} | {"task_seconds_l12_pass"}
+    assert task <= got.stats.keys()
+    assert all(got.stats[key] >= 0 for key in task)
     # The distributed miner has no bitmaps, so it gates nothing by
     # Lemmas 2/3: it enumerates what the driver does without the gate.
     ungated = mine(db, replace(cfg, prune_apriori=False))
@@ -319,3 +327,57 @@ def test_mine_distributed_empty(spark):
     got = mine_distributed(spark, spark.createDataFrame(pdf), cfg)
     assert got.frequent_events == {"A": 1}
     assert got.patterns == {}
+
+
+def _zip_importers():
+    return {
+        path: finder.prefix
+        for path, finder in sys.path_importer_cache.items()
+        if isinstance(finder, zipimport.zipimporter)
+    }
+
+
+def test_drop_subpackage_zip_importers(tmp_path, monkeypatch):
+    """The pass's worker trim, without Spark: importing a subpackage
+    from a zip on ``sys.path`` caches one importer per package path;
+    the trim drops those and keeps the archive's own importer and every
+    other finder, and later imports from the archive, a rewritten one
+    included, still resolve."""
+    archive = str(tmp_path / "lib.zip")
+
+    def write(*modules):
+        with zipfile.ZipFile(archive, "w") as z:
+            for name in ("zpkg/__init__.py", "zpkg/sub/__init__.py", *modules):
+                z.writestr(name, f"NAME = {name!r}\n")
+
+    write("zpkg/sub/a.py", "zpkg/sub/b.py")
+    monkeypatch.syspath_prepend(archive)  # sys.path is restored at teardown
+    try:
+        assert importlib.import_module("zpkg.sub.a").NAME == "zpkg/sub/a.py"
+        mine = {p: x for p, x in _zip_importers().items() if p.startswith(archive)}
+        assert sorted(mine.values()) == ["", "zpkg/", "zpkg/sub/"]
+        others = {
+            path: finder
+            for path, finder in sys.path_importer_cache.items()
+            if not isinstance(finder, zipimport.zipimporter)
+        }
+        assert others
+
+        distributed._drop_subpackage_zip_importers()
+        assert not [x for x in _zip_importers().values() if x]
+        assert _zip_importers()[archive] == ""
+        assert all(sys.path_importer_cache.get(p) is f for p, f in others.items())
+
+        importlib.invalidate_caches()
+        assert importlib.import_module("zpkg.sub.b").NAME == "zpkg/sub/b.py"
+
+        distributed._drop_subpackage_zip_importers()
+        write("zpkg/sub/a.py", "zpkg/sub/b.py", "zpkg/sub/c.py")
+        importlib.invalidate_caches()
+        assert importlib.import_module("zpkg.sub.c").NAME == "zpkg/sub/c.py"
+    finally:
+        for name in [m for m in sys.modules if m.split(".")[0] == "zpkg"]:
+            del sys.modules[name]
+        for path in [p for p in sys.path_importer_cache if p.startswith(archive)]:
+            del sys.path_importer_cache[path]
+        zipimport._zip_directory_cache.pop(archive, None)
